@@ -232,11 +232,12 @@ func BenchmarkMixed(b *testing.B) {
 	}
 }
 
-// BenchmarkQoS runs the RDT-style isolation sweep (four CLOS policy
-// cells over the stream+latency co-location scenario).
+// BenchmarkQoS runs the RDT-style isolation sweep (four static CLOS
+// policy cells plus the SLO-controlled auto cell over the
+// stream+latency co-location scenario).
 func BenchmarkQoS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.QoS(benchOpts); err != nil {
+		if _, _, err := experiments.QoS(benchOpts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,15 +4,15 @@
 // Usage:
 //
 //	hamsbench [-scale 3e-6] [-seed 42] [-parallel N] [-json out.json]
-//	          [-progress] [-mshrs D] [-qos-masks name=mask,...]
-//	          [-qos-mbps name=N,...] [-qos-summary file.md]
+//	          [-summary file.md] [-progress] [-mshrs D]
+//	          [-qos-masks name=mask,...] [-qos-mbps name=N,...]
 //	          [-slo-p99 40us] [-checkpoint img] [-from-checkpoint img]
-//	          [-sampled-summary file.md] <target> [target...]
+//	          <target> [target...]
 //	hamsbench compare [-threshold 0.15] [-summary file.md] baseline.json new.json
 //
 // Targets: table1 table2 table3 fig5 fig6 fig7 fig10 fig16 fig17
-// fig18 fig19 fig20 headline ablation sweep replay mixed qos autoqos
-// mlp sampled all
+// fig18 fig19 fig20 headline ablation sweep replay mixed qos mlp
+// sampled all
 //
 // sweep runs the associativity × shard grid (MoS cache geometry) on
 // the random microbenchmarks and rndIns. replay runs the record→replay
@@ -27,15 +27,12 @@
 // other HAMS cell (0 keeps each target's own configuration). qos
 // runs the RDT-style isolation sweep — a streaming tenant co-located
 // with a latency-sensitive service under shared / cat / mba / cat+mba
-// CLOS policies — with per-tenant percentiles plus MBM occupancy and
-// bandwidth counters; -qos-masks and -qos-mbps override the isolated
-// policy's way masks (hex, e.g. latency=0xfc) and throttles (MB/s),
-// and -qos-summary appends the victim-delta markdown table to a file
-// ($GITHUB_STEP_SUMMARY in CI). autoqos reruns the qos co-location
-// with the AIMD feedback controller holding the victim's rolling p99
-// to an SLO while maximizing the streamer's throughput, compared
-// against all four static policies; -slo-p99 overrides the p99
-// objective and -qos-summary also collects its delta table.
+// CLOS policies plus auto, where the AIMD feedback controller holds
+// the victim's rolling p99 to an SLO while maximizing the streamer's
+// throughput — with per-tenant percentiles plus MBM occupancy and
+// bandwidth counters; -qos-masks and -qos-mbps override the static
+// isolated policies' way masks (hex, e.g. latency=0xfc) and throttles
+// (MB/s), and -slo-p99 overrides the auto variant's p99 objective.
 // sampled is the checkpointed-simulation gate: a split cell pins the
 // SMARTS-style interval-sampling error against the full measured phase
 // (mean and p50 within 10% per tenant), and a fan-out cell restores N
@@ -44,9 +41,7 @@
 // 2x wall-clock floor. -checkpoint writes the sampled scenario's
 // warm-up image to a file before any target runs; -from-checkpoint
 // feeds such an image back so the fan-out cells restore without
-// re-warming (same -seed, or every restore fails the match check);
-// -sampled-summary appends the warm-up amortization markdown table to
-// a file ($GITHUB_STEP_SUMMARY in CI).
+// re-warming (same -seed, or every restore fails the match check).
 // compare fails (exit 1) when the two artifacts' cell sets diverge —
 // cells present on only one side were never gated, so the divergence
 // is reported key-by-key instead of silently skipped.
@@ -56,8 +51,12 @@
 // hamsd streams over HTTP). -json writes a versioned
 // BENCH artifact with one record per experiment cell; compare diffs
 // two artifacts and exits nonzero when any cell's simulated throughput
-// regressed beyond the threshold (the CI perf gate); -summary appends
-// the markdown delta table to a file.
+// regressed beyond the threshold (the CI perf gate). -summary appends
+// markdown to a file ($GITHUB_STEP_SUMMARY in CI): for a run, the
+// summary tables its targets return (qos's victim-delta table,
+// sampled's warm-up amortization table); for compare, the delta table.
+// Every output path is opened before the first cell runs, so a bad one
+// exits 2 up front.
 package main
 
 import (
@@ -79,13 +78,13 @@ import (
 	"hams/internal/experiments"
 	"hams/internal/qos"
 	"hams/internal/report"
-	"hams/internal/stats"
 )
 
 // benchFlags maps JobSpec field names to this CLI's flag spellings for
 // validation-error rendering (see api.RenderFlagErrors).
 var benchFlags = map[string]string{
 	"targets": "target", // positional
+	"slo":     "-slo-p99",
 }
 
 func main() {
@@ -104,13 +103,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 42, "workload random seed")
 	parallel := fs.Int("parallel", 0, "experiment engine workers (0 = GOMAXPROCS, 1 = serial)")
 	jsonOut := fs.String("json", "", "write a BENCH artifact (one record per cell) to this file")
+	summaryOut := fs.String("summary", "", "append the targets' markdown summary tables to this file (e.g. $GITHUB_STEP_SUMMARY)")
 	qosMasks := fs.String("qos-masks", "", "qos target: override isolated-policy way masks, e.g. latency=0xfc,stream=0x03")
 	qosMBps := fs.String("qos-mbps", "", "qos target: override isolated-policy throttles in MB/s, e.g. stream=100")
-	qosSummary := fs.String("qos-summary", "", "append the qos isolation delta table to this file (e.g. $GITHUB_STEP_SUMMARY)")
-	sloP99 := fs.Duration("slo-p99", 0, "autoqos target: victim rolling-p99 objective for the feedback controller (0 = built-in default)")
+	sloP99 := fs.Duration("slo-p99", 0, "qos target: victim rolling-p99 objective of the auto variant's feedback controller (0 = built-in default)")
 	ckptOut := fs.String("checkpoint", "", "write the sampled scenario's warm-up checkpoint image to this file before any target runs")
 	ckptIn := fs.String("from-checkpoint", "", "sampled target: restore fan-out cells from this image instead of warming up live (must match -seed)")
-	sampledSummary := fs.String("sampled-summary", "", "append the sampled target's warm-up amortization table to this file (e.g. $GITHUB_STEP_SUMMARY)")
 	mshrs := fs.Int("mshrs", 0, "override the per-bank MSHR depth of HAMS cells (0 = each target's own; >= 2 enables the non-blocking miss pipeline)")
 	progress := fs.Bool("progress", false, "print one line per completed cell to stderr as it finishes")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -191,6 +189,30 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	o.Ctx = ctx
+	// The run's outputs follow the same rule: a bad -json or -summary
+	// path must not surface only after every target has run. -json is
+	// probed without truncation, so an existing artifact survives a
+	// failed run; it is rewritten once the run completes.
+	summary := io.Discard
+	var summaryFile *os.File
+	if *summaryOut != "" {
+		f, err := os.OpenFile(*summaryOut, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		if err != nil {
+			fmt.Fprintf(stderr, "hamsbench: -summary: %v\n", err)
+			return 2
+		}
+		defer f.Close() // error paths; the success path checks Close below
+		summary, summaryFile = f, f
+	}
+	if *jsonOut != "" {
+		f, err := os.OpenFile(*jsonOut, os.O_WRONLY|os.O_CREATE, 0o644)
+		if err != nil {
+			fmt.Fprintf(stderr, "hamsbench: -json: %v\n", err)
+			return 2
+		}
+		f.Close()
+		o.Recorder = &report.Recorder{}
+	}
 	// Checkpoint plumbing follows the validation-first convention: a
 	// malformed image (or an uncreatable output path) must surface as
 	// exit 2 before any cell has burned its minutes. A well-formed
@@ -222,9 +244,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "wrote %s (platform %s, %d steps/thread of warm-up)\n", *ckptOut, img.Platform, img.Warmup)
 	}
-	if *jsonOut != "" {
-		o.Recorder = &report.Recorder{}
-	}
 	if *progress {
 		// One Fprintf per cell: a single Write under the hood, so lines
 		// from concurrent workers do not shear.
@@ -233,8 +252,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	for _, tgt := range targets {
-		if err := run(tgt, o, *qosSummary, *sampledSummary, stdout); err != nil {
+		if err := run(tgt, o, summary, stdout); err != nil {
 			fmt.Fprintf(stderr, "hamsbench: %s: %v\n", tgt, err)
+			return 1
+		}
+	}
+	if summaryFile != nil {
+		if err := summaryFile.Close(); err != nil {
+			fmt.Fprintf(stderr, "hamsbench: -summary: %v\n", err)
 			return 1
 		}
 	}
@@ -279,47 +304,21 @@ func splitQoSFlags(masksArg, mbpsArg string) (map[string]string, map[string]floa
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintf(w, "usage: hamsbench [-scale S] [-seed N] [-parallel N] [-json out.json] [-progress] [-qos-masks a=0xf,...] [-qos-mbps a=N,...] [-qos-summary f.md] [-slo-p99 D] [-checkpoint img] [-from-checkpoint img] [-sampled-summary f.md] <%s|all>\n",
+	fmt.Fprintf(w, "usage: hamsbench [-scale S] [-seed N] [-parallel N] [-json out.json] [-summary f.md] [-progress] [-qos-masks a=0xf,...] [-qos-mbps a=N,...] [-slo-p99 D] [-checkpoint img] [-from-checkpoint img] <%s|all>\n",
 		strings.Join(experiments.TargetNames(), "|"))
 	fmt.Fprintln(w, "       hamsbench compare [-threshold 0.15] [-summary file.md] baseline.json new.json")
 }
 
-func run(target string, o experiments.Options, qosSummary, sampledSummary string, stdout io.Writer) error {
+// run executes one target, prints its tables to stdout and appends its
+// markdown summary, if any, to summary.
+func run(target string, o experiments.Options, summary, stdout io.Writer) error {
 	start := time.Now()
-	var tables []*stats.Table
-	var err error
-	switch target {
-	case "qos":
-		// The CLI-flavored targets: their markdown summaries can land
-		// in $GITHUB_STEP_SUMMARY.
-		var md string
-		tables, md, err = experiments.QoSWithSummary(o)
-		if err == nil && qosSummary != "" {
-			if werr := appendFile(qosSummary, md); werr != nil {
-				return fmt.Errorf("qos summary: %w", werr)
-			}
-		}
-	case "autoqos":
-		var md string
-		tables, md, err = experiments.AutoQoSWithSummary(o)
-		if err == nil && qosSummary != "" {
-			if werr := appendFile(qosSummary, md); werr != nil {
-				return fmt.Errorf("autoqos summary: %w", werr)
-			}
-		}
-	case "sampled":
-		var md string
-		tables, md, err = experiments.SampledWithSummary(o)
-		if err == nil && sampledSummary != "" {
-			if werr := appendFile(sampledSummary, md); werr != nil {
-				return fmt.Errorf("sampled summary: %w", werr)
-			}
-		}
-	default:
-		tables, err = experiments.RunTarget(target, o)
-	}
+	tables, md, err := experiments.RunTarget(target, o)
 	if err != nil {
 		return err
+	}
+	if _, err := io.WriteString(summary, md); err != nil {
+		return fmt.Errorf("summary: %w", err)
 	}
 	for _, t := range tables {
 		fmt.Fprintln(stdout, t)

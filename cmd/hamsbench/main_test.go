@@ -54,6 +54,15 @@ func TestTargetValidationExitsTwo(t *testing.T) {
 	if code, _, errOut := exec("no-such-target"); code != 2 || !strings.Contains(errOut, "no-such-target") {
 		t.Fatalf("unknown target: exit %d, stderr %q", code, errOut)
 	}
+	// autoqos folded into qos's auto variant; the old name is unknown
+	// and the diagnostic lists the valid ones.
+	if code, _, errOut := exec("autoqos"); code != 2 || !strings.Contains(errOut, "qos, mlp") {
+		t.Fatalf("autoqos: exit %d, stderr %q", code, errOut)
+	}
+	// -slo-p99 tunes qos's auto variant, so it needs the qos target.
+	if code, _, errOut := exec("-slo-p99", "5us", "table1"); code != 2 || !strings.Contains(errOut, "-slo-p99: only meaningful with the qos target") {
+		t.Fatalf("-slo-p99 without qos: exit %d, stderr %q", code, errOut)
+	}
 	if code, _, _ := exec(); code != 2 {
 		t.Fatalf("no targets: exit %d, want 2", code)
 	}
@@ -169,11 +178,12 @@ func TestProgressFlagStreamsCells(t *testing.T) {
 }
 
 // TestProfileFlagValidationExitsTwo pins the same up-front convention
-// on the profiling flags: an uncreatable profile path must exit 2
-// before any cell runs, not after the run it was meant to capture.
+// on the profiling and output flags: an uncreatable profile, artifact
+// or summary path must exit 2 before any cell runs, not after the run
+// it was meant to capture.
 func TestProfileFlagValidationExitsTwo(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "no-such-dir", "p.out")
-	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+	for _, flag := range []string{"-cpuprofile", "-memprofile", "-json", "-summary"} {
 		code, _, errOut := exec(flag, bad, "table1")
 		if code != 2 {
 			t.Errorf("%s bad path: exit %d, want 2 (stderr: %s)", flag, code, errOut)

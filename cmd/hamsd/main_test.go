@@ -496,6 +496,13 @@ func TestValidationReturns400(t *testing.T) {
 	if !strings.Contains(string(body), "qos_policy[0].at_ns") {
 		t.Fatalf("400 body does not name the timeline field: %s", body)
 	}
+	// autoqos is qos's auto variant now; the old name is an unknown
+	// target and the error lists the valid ones.
+	resp, body = postJSON(t, ts.URL+"/v1/jobs", api.JobSpec{Kind: api.KindTarget, Targets: []string{"autoqos"}})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "targets[0]") ||
+		!strings.Contains(string(body), "qos, mlp") {
+		t.Fatalf("autoqos target: %d %s", resp.StatusCode, body)
+	}
 	// Unknown JSON fields are schema violations, not silently dropped.
 	r2, err := http.Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"kind":"run","platform":"hams-LE","workload":"seqRd","bogus":1}`))

@@ -130,9 +130,9 @@ type JobSpec struct {
 	QoSPolicy []PolicyChangeSpec `json:"qos_policy,omitempty"`
 	// SLO attaches the AIMD feedback controller. For scenario jobs
 	// Class names the victim tenant class to defend; for target jobs
-	// (the autoqos target) Class stays empty — the target owns its
-	// victim — and only the p99 objective applies. Additive, like
-	// QoSPolicy.
+	// it requires the qos target, whose auto variant it tunes: Class
+	// stays empty — the target owns its victim — and only the p99
+	// objective applies. Additive, like QoSPolicy.
 	SLO *SLOSpec `json:"slo,omitempty"`
 }
 

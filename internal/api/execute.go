@@ -64,7 +64,7 @@ func Execute(spec JobSpec, eo ExecOptions) ([]report.Cell, error) {
 		}
 	case KindTarget:
 		for _, name := range experiments.ExpandTargets(spec.Targets) {
-			if _, err := experiments.RunTarget(name, o); err != nil {
+			if _, _, err := experiments.RunTarget(name, o); err != nil {
 				return nil, fmt.Errorf("target %s: %w", name, err)
 			}
 		}

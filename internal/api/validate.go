@@ -2,6 +2,7 @@ package api
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hams/internal/core/tagstore"
@@ -201,7 +202,7 @@ func Validate(spec JobSpec) error {
 			}
 		}
 		if spec.SLO != nil {
-			add("slo", "not valid for run jobs (a single class has no victim/aggressor split; use kind %q or the autoqos target)", KindScenario)
+			add("slo", "not valid for run jobs (a single class has no victim/aggressor split; use kind %q or the qos target)", KindScenario)
 		}
 		if spec.Checkpoint != "" {
 			add("checkpoint", "not valid for run jobs (use kind %q)", KindScenario)
@@ -243,16 +244,10 @@ func Validate(spec JobSpec) error {
 		}
 		if spec.SLO != nil {
 			if spec.SLO.Class != "" {
-				add("slo.class", "not valid for target jobs (the autoqos target owns its victim class)")
+				add("slo.class", "not valid for target jobs (the qos target owns its victim class)")
 			}
-			autoqos := false
-			for _, t := range experiments.ExpandTargets(spec.Targets) {
-				if t == "autoqos" {
-					autoqos = true
-				}
-			}
-			if !autoqos {
-				add("slo", "only meaningful with the autoqos target in targets")
+			if !slices.Contains(experiments.ExpandTargets(spec.Targets), "qos") {
+				add("slo", "only meaningful with the qos target in targets (it sets the objective of qos's auto variant)")
 			}
 		}
 

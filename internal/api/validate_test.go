@@ -59,8 +59,10 @@ func TestValidateAcceptsWellFormedSpecs(t *testing.T) {
 			s.QoSPolicy = []PolicyChangeSpec{{AtNS: 1e6, Class: "workload", WayMask: "0x3"}}
 			return s
 		}(),
-		// A target job carries only the p99 objective, with autoqos on.
-		{Kind: KindTarget, Targets: []string{"autoqos"},
+		// A target job carries only the p99 objective, with qos on.
+		{Kind: KindTarget, Targets: []string{"qos"},
+			SLO: &SLOSpec{TargetP99NS: 5000}},
+		{Kind: KindTarget, Targets: []string{"all"},
 			SLO: &SLOSpec{TargetP99NS: 5000}},
 		// A phase-split scenario, and the same shape restored from a
 		// checkpoint image (which records its own warm-up length).
@@ -355,15 +357,18 @@ func TestValidateRejectsMalformedSpecs(t *testing.T) {
 			return s
 		}(), "qos_policy"},
 		{"target slo with class", func() JobSpec {
-			s := JobSpec{Kind: KindTarget, Targets: []string{"autoqos"},
+			s := JobSpec{Kind: KindTarget, Targets: []string{"qos"},
 				SLO: &SLOSpec{Class: "latency", TargetP99NS: 5000}}
 			return s
 		}(), "slo.class"},
-		{"target slo without autoqos", func() JobSpec {
-			s := validTarget()
-			s.SLO = &SLOSpec{TargetP99NS: 5000}
+		{"target slo without qos", func() JobSpec {
+			s := JobSpec{Kind: KindTarget, Targets: []string{"mixed", "sampled"},
+				SLO: &SLOSpec{TargetP99NS: 5000}}
 			return s
 		}(), "slo"},
+		// The SLO-driven policy is the qos target's auto variant; no
+		// alias keeps the old target name alive.
+		{"autoqos target", JobSpec{Kind: KindTarget, Targets: []string{"autoqos"}}, "targets[0]"},
 		{"too many classes", func() JobSpec {
 			s := validScenario()
 			s.QoS = nil

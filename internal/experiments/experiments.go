@@ -61,8 +61,8 @@ type Options struct {
 	QoSMasks map[string]uint64
 	QoSMBps  map[string]float64
 
-	// SLOTargetP99 overrides the `autoqos` target's rolling-p99
-	// objective for the feedback-controlled cell (hamsbench -slo-p99);
+	// SLOTargetP99 overrides the rolling-p99 objective of the `qos`
+	// target's feedback-controlled auto variant (hamsbench -slo-p99);
 	// 0 keeps the built-in target.
 	SLOTargetP99 sim.Time
 

@@ -12,27 +12,37 @@ import (
 	"hams/internal/replay"
 	"hams/internal/report"
 	"hams/internal/runner"
+	"hams/internal/sim"
 	"hams/internal/stats"
 )
 
 // This file hosts the `qos` target: partitioned vs. unpartitioned
-// multi-tenant co-location. One scenario — a streaming tenant next to
-// a latency-sensitive service on a deliberately small MoS cache — is
-// swept across four CLOS policies:
+// multi-tenant co-location, static and feedback-controlled. One
+// scenario — a streaming tenant next to a latency-sensitive service on
+// a deliberately small MoS cache — is swept across five CLOS policies:
 //
 //	shared   free-for-all (the PR 3 `mixed` behavior, monitoring only)
 //	cat      way partitioning: the service keeps 6 of 8 ways
 //	mba      bandwidth throttling: the streamer capped at 100 MB/s
 //	cat+mba  both — the full RDT-style isolation policy
+//	auto     an initially partitioned table driven at runtime by the
+//	         SLO feedback controller (internal/qos.Controller), which
+//	         adapts the streamer's way mask and bandwidth cap to hold
+//	         the service's rolling p99 at the target while letting the
+//	         streamer draw every MB/s the target tolerates
 //
 // Per-tenant latency percentiles plus the MBM-style occupancy and
-// bandwidth counters land in report.Cell.Extra, and the CI step
-// summary renders the victim's p99 across policies (QoSMarkdown).
+// bandwidth counters land in report.Cell.Extra (the auto cell adds the
+// controller trajectory), and the markdown summary renders the
+// victim's tail across policies (qosMarkdown).
 
-// qosVariant is one CLOS policy applied to the scenario.
+// qosVariant is one CLOS policy applied to the scenario. slo, when
+// set, attaches the SLO feedback controller, which reprograms the
+// table at runtime.
 type qosVariant struct {
 	name string
 	qos  *qos.Table
+	slo  *qos.SLO
 }
 
 // qosClassNames are the CLOS labels of the built-in scenario; CLI
@@ -54,6 +64,25 @@ const (
 	qosVictimMask    = 0xfc
 	qosAggressorMask = 0x03
 	qosAggressorMBps = 100
+)
+
+// Built-in parameters of the auto variant. Its initial table starts
+// fully partitioned — the service holds 7 of 8 ways, the streamer 1,
+// uncapped — and the controller meters the streamer's archive bandwidth
+// from there: the victim's working set fits its partition, so its tail
+// is pure bank/archive contention, exactly the axis an MBA cap
+// controls.
+const (
+	autoVictimMask    = 0xfe
+	autoAggressorMask = 0x01
+	// autoSLOTargetP99 is the default rolling-p99 objective
+	// (CLI-overridable via -slo-p99), sized between the cat+mba tail
+	// floor (~3.3µs at bench scale) and the cat-only tail (~9µs): tight
+	// enough that the controller clamps the streamer's bursts (holding
+	// the victim's full-run p99 under every static policy's), loose
+	// enough that the cap recovers to MaxMBps between bursts instead of
+	// oscillating.
+	autoSLOTargetP99 = 6 * sim.Microsecond
 )
 
 // ValidateQoSOverrides rejects -qos-masks/-qos-mbps entries that do
@@ -123,13 +152,36 @@ func qosTable(o Options, partitioned, throttled bool) *qos.Table {
 	}}
 }
 
+// autoSLO assembles the auto variant's controller objective.
+func autoSLO(o Options) *qos.SLO {
+	target := autoSLOTargetP99
+	if o.SLOTargetP99 > 0 {
+		target = o.SLOTargetP99
+	}
+	return &qos.SLO{
+		Class:     qosVictim,
+		TargetP99: target,
+		Window:    512,
+		MinMBps:   50,
+		MaxMBps:   4000,
+		AddMBps:   200,
+		MinWays:   1,
+		Hold:      2,
+	}
+}
+
 // qosVariants builds the policy sweep.
 func qosVariants(o Options) []qosVariant {
+	auto := &qos.Table{Classes: []qos.Class{
+		{Name: qosVictim, WayMask: autoVictimMask},
+		{Name: qosAggressor, WayMask: autoAggressorMask},
+	}}
 	return []qosVariant{
-		{"shared", qosTable(o, false, false)},
-		{"cat", qosTable(o, true, false)},
-		{"mba", qosTable(o, false, true)},
-		{"cat+mba", qosTable(o, true, true)},
+		{name: "shared", qos: qosTable(o, false, false)},
+		{name: "cat", qos: qosTable(o, true, false)},
+		{name: "mba", qos: qosTable(o, false, true)},
+		{name: "cat+mba", qos: qosTable(o, true, true)},
+		{name: "auto", qos: auto, slo: autoSLO(o)},
 	}
 }
 
@@ -165,27 +217,33 @@ func qosScenarioFor(v qosVariant, seed int64) replay.Scenario {
 			},
 		},
 		QoS: v.qos,
+		SLO: v.slo,
 	}
 }
 
-// qosOut is one policy cell's output.
+// qosOut is one policy cell's output. auto marks the
+// feedback-controlled variant.
 type qosOut struct {
 	variant string
+	auto    bool
 	rep     replay.Result
 	cell    report.Cell
 }
 
 func (q qosOut) reportCell() report.Cell { return q.cell }
 
-// QoS runs the isolation sweep (console tables only).
-func QoS(o Options) ([]*stats.Table, error) {
-	tables, _, err := QoSWithSummary(o)
-	return tables, err
+// reconfigs renders the controller's reprogramming count ("—" for a
+// static policy).
+func (q qosOut) reconfigs() string {
+	if !q.auto {
+		return "—"
+	}
+	return fmt.Sprint(q.rep.QoSReconfigs)
 }
 
-// QoSWithSummary runs the isolation sweep and also renders the
-// markdown victim-delta table for CI step summaries.
-func QoSWithSummary(o Options) ([]*stats.Table, string, error) {
+// QoS runs the isolation sweep and returns its console table plus the
+// markdown victim-delta table.
+func QoS(o Options) ([]*stats.Table, string, error) {
 	if err := ValidateQoSOverrides(o.QoSMasks, o.QoSMBps); err != nil {
 		return nil, "", err
 	}
@@ -205,8 +263,8 @@ func QoSWithSummary(o Options) ([]*stats.Table, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	t := stats.NewTable("QoS: RDT-style isolation — partitioned vs unpartitioned co-location",
-		"scenario", "policy", "tenant", "p50", "p95", "p99", "occ(pages)", "fill MB/s", "wb MB/s", "throttled", "units/s")
+	t := stats.NewTable("QoS: RDT-style isolation — static CLOS policies and SLO feedback control",
+		"scenario", "policy", "tenant", "p50", "p95", "p99", "occ(pages)", "fill MB/s", "wb MB/s", "throttled", "units/s", "reconfigs")
 	outs := make([]qosOut, 0, len(vals))
 	for _, val := range vals {
 		q, ok := val.(qosOut)
@@ -221,12 +279,12 @@ func QoSWithSummary(o Options) ([]*stats.Table, string, error) {
 				stats.F(ten.QoS.FillMBps(q.rep.CPU.Elapsed)),
 				stats.F(ten.QoS.WBMBps(q.rep.CPU.Elapsed)),
 				fmt.Sprintf("%v", ten.QoS.ThrottleNS),
-				"")
+				"", "")
 		}
 		t.AddRow(q.rep.Scenario, q.variant, "(all)", "", "", "", "", "", "", "",
-			fmt.Sprintf("%.0f", q.rep.UnitsPerSec()))
+			fmt.Sprintf("%.0f", q.rep.UnitsPerSec()), q.reconfigs())
 	}
-	return []*stats.Table{t}, QoSMarkdown(outs), nil
+	return []*stats.Table{t}, qosMarkdown(outs), nil
 }
 
 // qosCell runs one policy variant.
@@ -249,8 +307,20 @@ func qosCell(o Options, v qosVariant, seed int64) (qosOut, error) {
 		extra["wb_mbps:"+ten.Name] = ten.QoS.WBMBps(rep.CPU.Elapsed)
 		extra["throttle_ns:"+ten.Name] = float64(ten.QoS.ThrottleNS)
 	}
+	if v.slo != nil {
+		// Controller trajectory: how many reprogrammings it issued and
+		// where the policy ended up. Masks serialize as their numeric
+		// value (0 = full, matching qos.FormatMask's input convention).
+		extra["reconfigs"] = float64(rep.QoSReconfigs)
+		extra["slo_target_p99_ns"] = float64(v.slo.TargetP99)
+		for _, cl := range rep.QoSFinal {
+			extra["final_mask:"+cl.Name] = float64(cl.WayMask)
+			extra["final_mbps:"+cl.Name] = cl.MBps
+		}
+	}
 	return qosOut{
 		variant: v.name,
+		auto:    v.slo != nil,
 		rep:     rep,
 		cell: report.Cell{
 			Platform:    rep.Platform,
@@ -264,25 +334,20 @@ func qosCell(o Options, v qosVariant, seed int64) (qosOut, error) {
 	}, nil
 }
 
-// QoSMarkdown renders the partitioned-vs-unpartitioned isolation
-// delta table: the victim's tail latency under every policy, relative
-// to the unpartitioned baseline.
-func QoSMarkdown(outs []qosOut) string {
-	var shared *qosOut
-	for i := range outs {
-		if outs[i].variant == "shared" {
-			shared = &outs[i]
+// qosMarkdown renders the isolation delta table: the victim's tail
+// latency under every policy, relative to the unpartitioned baseline,
+// with the controller's trajectory on the auto row.
+func qosMarkdown(outs []qosOut) string {
+	var basep99 sim.Time
+	for _, q := range outs {
+		if q.variant == "shared" {
+			basep99 = tenantStat(q.rep, qosVictim).P99
 		}
 	}
 	var b strings.Builder
 	b.WriteString("### QoS isolation: victim tail latency by policy\n\n")
-	if shared == nil || len(outs) == 0 {
-		b.WriteString("No shared-baseline cell recorded.\n")
-		return b.String()
-	}
-	basep99 := tenantStat(shared.rep, qosVictim).P99
-	b.WriteString("| policy | victim p95 | victim p99 | Δp99 vs shared | victim occupancy | streamer fill MB/s | streamer throttled |\n")
-	b.WriteString("|---|---:|---:|---:|---:|---:|---:|\n")
+	b.WriteString("| policy | victim p95 | victim p99 | Δp99 vs shared | victim occupancy | streamer fill MB/s | streamer throttled | reconfigs | final streamer cap |\n")
+	b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---:|\n")
 	for _, q := range outs {
 		vict := tenantStat(q.rep, qosVictim)
 		aggr := tenantStat(q.rep, qosAggressor)
@@ -290,9 +355,20 @@ func QoSMarkdown(outs []qosOut) string {
 		if q.variant != "shared" && basep99 > 0 {
 			delta = fmt.Sprintf("%+.1f%%", (float64(vict.P99)-float64(basep99))/float64(basep99)*100)
 		}
-		fmt.Fprintf(&b, "| %s | %dns | %dns | %s | %d pages | %.0f | %v |\n",
+		finalCap := "—"
+		if q.auto {
+			for _, cl := range q.rep.QoSFinal {
+				if cl.Name == qosAggressor {
+					finalCap = "uncapped"
+					if cl.MBps > 0 {
+						finalCap = fmt.Sprintf("%.0f MB/s", cl.MBps)
+					}
+				}
+			}
+		}
+		fmt.Fprintf(&b, "| %s | %dns | %dns | %s | %d pages | %.0f | %v | %s | %s |\n",
 			q.variant, vict.P95, vict.P99, delta, vict.QoS.Occupancy,
-			aggr.QoS.FillMBps(q.rep.CPU.Elapsed), aggr.QoS.ThrottleNS)
+			aggr.QoS.FillMBps(q.rep.CPU.Elapsed), aggr.QoS.ThrottleNS, q.reconfigs(), finalCap)
 	}
 	return b.String()
 }

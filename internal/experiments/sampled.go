@@ -130,15 +130,9 @@ type sampledOut struct {
 
 func (s sampledOut) reportCell() report.Cell { return s.cell }
 
-// Sampled runs the target (console tables only).
-func Sampled(o Options) ([]*stats.Table, error) {
-	tables, _, err := SampledWithSummary(o)
-	return tables, err
-}
-
-// SampledWithSummary runs the target and renders the warm-up
-// amortization markdown for CI step summaries.
-func SampledWithSummary(o Options) ([]*stats.Table, string, error) {
+// Sampled runs the target and returns its console table plus the
+// warm-up amortization markdown.
+func Sampled(o Options) ([]*stats.Table, string, error) {
 	jobs := []cellJob{
 		{
 			key:     sampledScenario + "/split@" + sampledPlatform,
@@ -183,7 +177,7 @@ func SampledWithSummary(o Options) ([]*stats.Table, string, error) {
 				sp50, sp99, fmt.Sprint(ten.Accesses), sacc)
 		}
 	}
-	return []*stats.Table{t}, SampledMarkdown(outs), nil
+	return []*stats.Table{t}, sampledMarkdown(outs), nil
 }
 
 // relErr is |a-b| / b, 0 when both are 0.
@@ -283,7 +277,7 @@ func sampledFanoutCell(o Options, seed int64) (sampledOut, error) {
 
 	// The fan-out cell's whole point is a wall-clock amortization
 	// claim (N restores cheaper than N warm-ups); these readings feed
-	// only the host-speed floor and the -sampled-summary markdown —
+	// only the host-speed floor and the markdown summary —
 	// never a deterministic cell field, which statszero enforces.
 	//hamslint:allow hostclock — wall-clock amortization floor: host-speed channel by design
 	liveStart := time.Now()
@@ -359,9 +353,9 @@ func sampledFanoutCell(o Options, seed int64) (sampledOut, error) {
 	}, nil
 }
 
-// SampledMarkdown renders the warm-up amortization table for CI step
+// sampledMarkdown renders the warm-up amortization table for CI step
 // summaries. This is the only place wall-clock figures surface.
-func SampledMarkdown(outs []sampledOut) string {
+func sampledMarkdown(outs []sampledOut) string {
 	var b strings.Builder
 	b.WriteString("### Checkpointed warm-up amortization\n\n")
 	var fan *sampledOut

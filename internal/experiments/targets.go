@@ -17,8 +17,7 @@ import (
 func TargetNames() []string {
 	return []string{"table1", "table2", "table3", "fig5", "fig6", "fig7",
 		"fig10", "fig16", "fig17", "fig18", "fig19", "fig20", "headline",
-		"ablation", "sweep", "replay", "mixed", "qos", "autoqos", "mlp",
-		"sampled"}
+		"ablation", "sweep", "replay", "mixed", "qos", "mlp", "sampled"}
 }
 
 // KnownTarget reports whether RunTarget accepts the name.
@@ -56,53 +55,51 @@ func ExpandTargets(targets []string) []string {
 }
 
 // RunTarget executes one named target and returns its rendered
-// tables; cells land in o.Recorder when set. The qos target runs
-// without its markdown summary here — hamsbench layers that on via
-// QoSWithSummary.
-func RunTarget(name string, o Options) ([]*stats.Table, error) {
-	one := func(t *stats.Table, e error) ([]*stats.Table, error) {
-		return []*stats.Table{t}, e
-	}
+// tables plus its markdown summary ("" for targets without one); cells
+// land in o.Recorder when set.
+func RunTarget(name string, o Options) ([]*stats.Table, string, error) {
+	var tables []*stats.Table
+	var err error
+	one := func(t *stats.Table, e error) { tables, err = []*stats.Table{t}, e }
 	switch name {
 	case "table1", "table2", "table3":
-		return StaticTables(o, name)
+		tables, err = StaticTables(o, name)
 	case "fig5":
-		return Fig5(o)
+		tables, err = Fig5(o)
 	case "fig6":
-		return Fig6(o)
+		tables, err = Fig6(o)
 	case "fig7":
-		return Fig7(o)
+		tables, err = Fig7(o)
 	case "fig10":
-		return one(Fig10(o))
+		one(Fig10(o))
 	case "fig16":
-		return Fig16(o)
+		tables, err = Fig16(o)
 	case "fig17":
-		return one(Fig17(o))
+		one(Fig17(o))
 	case "fig18":
-		return one(Fig18(o))
+		one(Fig18(o))
 	case "fig19":
-		return one(Fig19(o))
+		one(Fig19(o))
 	case "fig20":
-		return Fig20(o)
+		tables, err = Fig20(o)
 	case "headline":
-		return one(Headline(o))
+		one(Headline(o))
 	case "ablation":
-		return one(Ablation(o))
+		one(Ablation(o))
 	case "sweep":
-		return AssocShardSweep(o)
+		tables, err = AssocShardSweep(o)
 	case "mlp":
-		return MLPSweep(o)
+		tables, err = MLPSweep(o)
 	case "replay":
-		return Replay(o)
+		tables, err = Replay(o)
 	case "mixed":
-		return Mixed(o)
+		tables, err = Mixed(o)
 	case "qos":
 		return QoS(o)
-	case "autoqos":
-		return AutoQoS(o)
 	case "sampled":
 		return Sampled(o)
 	default:
-		return nil, fmt.Errorf("experiments: unknown target %q", name)
+		err = fmt.Errorf("experiments: unknown target %q", name)
 	}
+	return tables, "", err
 }

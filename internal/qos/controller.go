@@ -277,5 +277,5 @@ func (c *Controller) emit() []Action {
 }
 
 // State reports the controller's current aggressor-group programming
-// (ways, cap) — surfaced in autoqos cell extras.
+// (ways, cap) — surfaced in the extras of the qos target's auto cell.
 func (c *Controller) State() (ways int, capMBps float64) { return c.curWays, c.curCap }

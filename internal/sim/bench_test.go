@@ -46,23 +46,6 @@ func BenchmarkScheduleCallDeepHeap(b *testing.B) {
 	e.Drain()
 }
 
-// BenchmarkScheduleClosureAdvance is the closure-form counterpart of
-// BenchmarkScheduleCallAdvance — the before/after pair documents what
-// ScheduleCall buys on the hot path.
-func BenchmarkScheduleClosureAdvance(b *testing.B) {
-	e := NewEngine()
-	var fired int64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t := Time(i) * 10
-		e.Schedule(t+5, func(Time) { fired++ })
-		e.AdvanceTo(t + 10)
-	}
-	if fired != int64(b.N) {
-		b.Fatalf("fired %d, want %d", fired, b.N)
-	}
-}
-
 // TestScheduleCallZeroAllocs pins the allocation-free contract of the
 // handler-form event loop: once the heap slice has grown its spare
 // capacity, schedule+fire allocates nothing.

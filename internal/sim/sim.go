@@ -13,10 +13,9 @@
 // The heap is a value-typed 4-ary min-heap ordered by (At, seq): nodes
 // live inline in one slice, so scheduling an event allocates nothing in
 // steady state (the slice's spare capacity is the free list) and firing
-// order is the same total order the previous pointer-heap used. Hot
-// paths schedule through ScheduleCall with a persistent Handler to
-// avoid closure captures; Schedule keeps the closure form for tests and
-// cold paths.
+// order is the same total order the previous pointer-heap used. Every
+// event goes through ScheduleCall with a persistent Handler, so no
+// closure is captured per event.
 package sim
 
 import (
@@ -78,7 +77,6 @@ type eventNode struct {
 	h   Handler
 	a0  int64
 	a1  int64
-	fn  func(Time)
 }
 
 // Engine owns the virtual clock and the event heap.
@@ -148,7 +146,7 @@ func (e *Engine) popMin() eventNode {
 	top := e.nodes[0]
 	last := len(e.nodes) - 1
 	e.nodes[0] = e.nodes[last]
-	e.nodes[last] = eventNode{} // release fn/h references
+	e.nodes[last] = eventNode{} // release the handler reference
 	e.nodes = e.nodes[:last]
 	if last > 0 {
 		e.siftDown(0)
@@ -156,20 +154,10 @@ func (e *Engine) popMin() eventNode {
 	return top
 }
 
-// Schedule registers fn to run at time at. Scheduling in the past (at <
-// now) runs the callback at the current time on the next AdvanceTo.
-func (e *Engine) Schedule(at Time, fn func(Time)) EventID {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.push(eventNode{at: at, seq: e.seq, fn: fn})
-	return EventID(e.seq)
-}
-
-// ScheduleCall registers h.OnEvent(at, a0, a1) to run at time at. It is
-// the allocation-free form of Schedule: the handler is a persistent
-// object, so no closure is captured per event.
+// ScheduleCall registers h.OnEvent(at, a0, a1) to run at time at.
+// Scheduling in the past (at < now) runs the event at the current time
+// on the next AdvanceTo. The handler is a persistent object, so
+// scheduling captures no closure and allocates nothing in steady state.
 func (e *Engine) ScheduleCall(at Time, h Handler, a0, a1 int64) EventID {
 	if at < e.now {
 		at = e.now
@@ -177,11 +165,6 @@ func (e *Engine) ScheduleCall(at Time, h Handler, a0, a1 int64) EventID {
 	e.seq++
 	e.push(eventNode{at: at, seq: e.seq, h: h, a0: a0, a1: a1})
 	return EventID(e.seq)
-}
-
-// After registers fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func(Time)) EventID {
-	return e.Schedule(e.now+d, fn)
 }
 
 // Cancel removes a pending event. Cancelling an already-fired,
@@ -225,11 +208,7 @@ func (e *Engine) fire() {
 	if n.at > e.now {
 		e.now = n.at
 	}
-	if n.fn != nil {
-		n.fn(e.now)
-	} else {
-		n.h.OnEvent(n.at, n.a0, n.a1)
-	}
+	n.h.OnEvent(n.at, n.a0, n.a1)
 }
 
 // AdvanceTo moves the clock forward to t, firing every event with

@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// callback adapts a closure to Handler, so the ordering tests below
+// can record what fired inline.
+type callback func(Time)
+
+func (f callback) OnEvent(at Time, _, _ int64) { f(at) }
+
+// schedule registers f to run at time at.
+func schedule(e *Engine, at Time, f func(Time)) EventID {
+	return e.ScheduleCall(at, callback(f), 0, 0)
+}
+
 func TestEngineStartsAtZero(t *testing.T) {
 	e := NewEngine()
 	if e.Now() != 0 {
@@ -20,9 +31,9 @@ func TestEngineStartsAtZero(t *testing.T) {
 func TestScheduleFiresInOrder(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.Schedule(30, func(now Time) { fired = append(fired, now) })
-	e.Schedule(10, func(now Time) { fired = append(fired, now) })
-	e.Schedule(20, func(now Time) { fired = append(fired, now) })
+	schedule(e, 30, func(now Time) { fired = append(fired, now) })
+	schedule(e, 10, func(now Time) { fired = append(fired, now) })
+	schedule(e, 20, func(now Time) { fired = append(fired, now) })
 	e.AdvanceTo(25)
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 20 {
 		t.Fatalf("fired = %v, want [10 20]", fired)
@@ -41,7 +52,7 @@ func TestEqualTimeEventsFireInScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func(Time) { order = append(order, i) })
+		schedule(e, 5, func(Time) { order = append(order, i) })
 	}
 	e.AdvanceTo(5)
 	for i, v := range order {
@@ -55,7 +66,7 @@ func TestScheduleInPastClampsToNow(t *testing.T) {
 	e := NewEngine()
 	e.AdvanceTo(100)
 	var at Time = -1
-	e.Schedule(50, func(now Time) { at = now })
+	schedule(e, 50, func(now Time) { at = now })
 	e.AdvanceTo(100)
 	if at != 100 {
 		t.Fatalf("past event fired at %v, want 100", at)
@@ -65,9 +76,9 @@ func TestScheduleInPastClampsToNow(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.Schedule(10, func(now Time) {
+	schedule(e, 10, func(now Time) {
 		fired = append(fired, now)
-		e.Schedule(now+5, func(n2 Time) { fired = append(fired, n2) })
+		schedule(e, now+5, func(n2 Time) { fired = append(fired, n2) })
 	})
 	e.AdvanceTo(20)
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
@@ -78,8 +89,8 @@ func TestNestedScheduling(t *testing.T) {
 func TestNestedSchedulingBeyondHorizonDefers(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.Schedule(10, func(now Time) {
-		e.Schedule(now+100, func(n2 Time) { fired = append(fired, n2) })
+	schedule(e, 10, func(now Time) {
+		schedule(e, now+100, func(n2 Time) { fired = append(fired, n2) })
 	})
 	e.AdvanceTo(20)
 	if len(fired) != 0 {
@@ -97,7 +108,7 @@ func TestNestedSchedulingBeyondHorizonDefers(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(10, func(Time) { fired = true })
+	ev := schedule(e, 10, func(Time) { fired = true })
 	e.Cancel(ev)
 	e.AdvanceTo(20)
 	if fired {
@@ -105,7 +116,7 @@ func TestCancel(t *testing.T) {
 	}
 	// Double cancel and cancel-after-fire must not panic.
 	e.Cancel(ev)
-	ev2 := e.Schedule(30, func(Time) {})
+	ev2 := schedule(e, 30, func(Time) {})
 	e.AdvanceTo(40)
 	e.Cancel(ev2)
 }
@@ -113,7 +124,7 @@ func TestCancel(t *testing.T) {
 func TestDrain(t *testing.T) {
 	e := NewEngine()
 	for i := 1; i <= 5; i++ {
-		e.Schedule(Time(i*10), func(Time) {})
+		schedule(e, Time(i*10), func(Time) {})
 	}
 	n := e.Drain()
 	if n != 5 {
@@ -127,9 +138,9 @@ func TestDrain(t *testing.T) {
 func TestCancelMiddleEventPreservesOrder(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.Schedule(10, func(n Time) { fired = append(fired, n) })
-	mid := e.Schedule(20, func(n Time) { fired = append(fired, n) })
-	e.Schedule(30, func(n Time) { fired = append(fired, n) })
+	schedule(e, 10, func(n Time) { fired = append(fired, n) })
+	mid := schedule(e, 20, func(n Time) { fired = append(fired, n) })
+	schedule(e, 30, func(n Time) { fired = append(fired, n) })
 	e.Cancel(mid)
 	e.AdvanceTo(40)
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 30 {
@@ -141,8 +152,8 @@ func TestCancelFromInsideCallback(t *testing.T) {
 	e := NewEngine()
 	fired := false
 	var victim EventID
-	e.Schedule(10, func(Time) { e.Cancel(victim) })
-	victim = e.Schedule(20, func(Time) { fired = true })
+	schedule(e, 10, func(Time) { e.Cancel(victim) })
+	victim = schedule(e, 20, func(Time) { fired = true })
 	e.AdvanceTo(30)
 	if fired {
 		t.Fatal("event cancelled by an earlier callback still fired")
@@ -155,9 +166,9 @@ func TestCancelFromInsideCallback(t *testing.T) {
 func TestDrainFiresNestedEvents(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.Schedule(10, func(now Time) {
+	schedule(e, 10, func(now Time) {
 		fired = append(fired, now)
-		e.Schedule(now+100, func(n2 Time) { fired = append(fired, n2) })
+		schedule(e, now+100, func(n2 Time) { fired = append(fired, n2) })
 	})
 	n := e.Drain()
 	if n != 2 {
@@ -185,10 +196,10 @@ func TestPastEventsFireInScheduleOrder(t *testing.T) {
 	e := NewEngine()
 	e.AdvanceTo(100)
 	var fired []int
-	e.Schedule(150, func(Time) { fired = append(fired, 99) })
+	schedule(e, 150, func(Time) { fired = append(fired, 99) })
 	for i := 0; i < 3; i++ {
 		i := i
-		e.Schedule(Time(10*i), func(Time) { fired = append(fired, i) })
+		schedule(e, Time(10*i), func(Time) { fired = append(fired, i) })
 	}
 	e.AdvanceTo(200)
 	want := []int{0, 1, 2, 99}
@@ -202,17 +213,17 @@ func TestPastEventsFireInScheduleOrder(t *testing.T) {
 	}
 }
 
-func TestAfterSchedulesRelativeToNow(t *testing.T) {
+func TestNextEventAt(t *testing.T) {
 	e := NewEngine()
 	e.AdvanceTo(100)
 	var at Time = -1
-	e.After(25, func(now Time) { at = now })
+	schedule(e, e.Now()+25, func(now Time) { at = now })
 	if next := e.NextEventAt(); next != 125 {
 		t.Fatalf("NextEventAt = %v, want 125", next)
 	}
 	e.AdvanceTo(200)
 	if at != 125 {
-		t.Fatalf("After fired at %v, want 125", at)
+		t.Fatalf("event fired at %v, want 125", at)
 	}
 	if e.NextEventAt() != MaxTime {
 		t.Fatal("NextEventAt on empty heap must be MaxTime")
@@ -230,7 +241,7 @@ func TestAdvanceToNeverRewinds(t *testing.T) {
 
 func TestEngineReset(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func(Time) {})
+	schedule(e, 10, func(Time) {})
 	e.AdvanceTo(5)
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 {
@@ -385,20 +396,21 @@ func TestScheduleCallPassesScheduledTime(t *testing.T) {
 	}
 }
 
+// Events from different handlers share one (at, seq) order.
 func TestScheduleCallAndScheduleShareOrdering(t *testing.T) {
 	e := NewEngine()
 	r := &recorder{}
 	var order []int64
-	e.Schedule(5, func(Time) { order = append(order, -1) })
+	schedule(e, 5, func(Time) { order = append(order, -1) })
 	e.ScheduleCall(5, r, 10, 0)
-	e.Schedule(5, func(Time) { order = append(order, -2) })
+	schedule(e, 5, func(Time) { order = append(order, -2) })
 	e.AdvanceTo(5)
 	if len(r.got) != 1 {
 		t.Fatalf("handler events = %v", r.got)
 	}
-	// Closure at seq1 fired first, handler second, closure at seq3 last.
+	// Callback at seq1 fired first, recorder second, callback at seq3 last.
 	if len(order) != 2 || order[0] != -1 || order[1] != -2 {
-		t.Fatalf("closure order = %v", order)
+		t.Fatalf("callback order = %v", order)
 	}
 }
 
@@ -427,7 +439,7 @@ func TestEventOrderProperty(t *testing.T) {
 			if at > max {
 				max = at
 			}
-			e.Schedule(at, func(now Time) { fired = append(fired, now) })
+			schedule(e, at, func(now Time) { fired = append(fired, now) })
 		}
 		e.AdvanceTo(max)
 		if len(fired) != len(raw) {
