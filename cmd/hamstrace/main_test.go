@@ -118,7 +118,7 @@ func TestCheckpointInfoRestoreRoundTrip(t *testing.T) {
 	if code := run([]string{"info", path}, &out, &errb); code != 0 {
 		t.Fatalf("info exit %d\nstderr: %s", code, errb.String())
 	}
-	for _, want := range []string{"checkpoint   v1", "platform     hams-LE",
+	for _, want := range []string{"checkpoint   v2", "platform     hams-LE",
 		"warmup       100 steps/thread", "sim/engine", "mem/nvdimm", "payload"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("info output missing %q:\n%s", want, out.String())

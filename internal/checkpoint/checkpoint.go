@@ -28,7 +28,7 @@ import (
 )
 
 // SchemaVersion is the container layout version this package writes.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Container limits. Every wire count is validated against these (or
 // against the bytes actually remaining) before an allocation is sized

@@ -83,9 +83,12 @@ func TestBadMagicRejected(t *testing.T) {
 	}
 }
 
+// Both the retired v1 layout and a future version are refused.
 func TestUnknownVersionRejected(t *testing.T) {
-	if _, err := Decode(strings.NewReader("HAMC\x02\x00\x00\x00rest")); !errors.Is(err, ErrBadHeader) {
-		t.Fatalf("err = %v, want ErrBadHeader", err)
+	for _, hdr := range []string{"HAMC\x01\x00\x00\x00rest", "HAMC\x03\x00\x00\x00rest"} {
+		if _, err := Decode(strings.NewReader(hdr)); !errors.Is(err, ErrBadHeader) {
+			t.Fatalf("%q: err = %v, want ErrBadHeader", hdr, err)
+		}
 	}
 }
 

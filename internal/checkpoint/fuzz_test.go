@@ -16,15 +16,16 @@ func FuzzCheckpointReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
-	// Truncations, bare headers, wrong magic/version, garbage.
+	// Truncations, bare headers, wrong magic/version (v1 predates the
+	// FTL section reshape), garbage.
 	f.Add(valid.Bytes()[:len(valid.Bytes())-3])
-	f.Add([]byte("HAMC\x01\x00\x00\x00"))
 	f.Add([]byte("HAMC\x02\x00\x00\x00"))
-	f.Add([]byte("SMAH\x01\x00\x00\x00"))
+	f.Add([]byte("HAMC\x01\x00\x00\x00"))
+	f.Add([]byte("SMAH\x02\x00\x00\x00"))
 	f.Add([]byte("not a checkpoint"))
 	// The count-OOM shapes from TestHugeCountRejected.
-	f.Add([]byte("HAMC\x01\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
-	f.Add([]byte("HAMC\x01\x00\x00\x00" +
+	f.Add([]byte("HAMC\x02\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add([]byte("HAMC\x02\x00\x00\x00" +
 		"\x00\x00\x00\x00\x00\x00\x00\x00" + // platform ""
 		"\x00\x00\x00\x00\x00\x00\x00\x00" + // simTime
 		"\x00\x00\x00\x00\x00\x00\x00\x00" + // warmup

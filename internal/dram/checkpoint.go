@@ -81,8 +81,8 @@ func (n *NVDIMM) SaveState(enc *checkpoint.Enc) {
 	enc.I64(int64(n.backups))
 	enc.I64(int64(n.restores))
 	enc.I64(int64(n.backupTime))
-	enc.Bool(n.hasImage)
-	if n.hasImage {
+	enc.Bool(n.image != nil)
+	if n.image != nil {
 		n.image.SaveState(enc)
 	}
 }
@@ -95,14 +95,14 @@ func (n *NVDIMM) RestoreState(dec *checkpoint.Dec) error {
 	n.backups = int(dec.I64())
 	n.restores = int(dec.I64())
 	n.backupTime = sim.Time(dec.I64())
-	n.hasImage = dec.Bool()
+	hasImage := dec.Bool()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if n.hasImage {
-		n.image = mem.NewSparseStore()
-		return n.image.RestoreState(dec)
+	if !hasImage {
+		n.image = nil
+		return nil
 	}
-	n.image = nil
-	return nil
+	n.image = mem.NewSparseStore()
+	return n.image.RestoreState(dec)
 }

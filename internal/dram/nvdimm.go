@@ -15,9 +15,12 @@ import (
 type NVDIMM struct {
 	*DDR4
 
-	backupGBs  float64 // private flash backup stream bandwidth
+	backupGBs float64 // private flash backup stream bandwidth
+	// image is the private flash's copy of the DRAM, nil until the
+	// first backup (and after DropImage). It lives across power
+	// cycles: each backup and restore copies frame by frame into the
+	// frames the destination already holds.
 	image      *mem.SparseStore
-	hasImage   bool
 	backups    int
 	restores   int
 	backupTime sim.Time
@@ -44,8 +47,10 @@ func NewNVDIMM(cfg NVDIMMConfig) *NVDIMM {
 // already down, so the duration does not extend application time; it
 // matters for the recovery-procedure experiments.
 func (n *NVDIMM) PowerFail() sim.Time {
-	n.image = n.Store().Snapshot()
-	n.hasImage = true
+	if n.image == nil {
+		n.image = mem.NewSparseStore()
+	}
+	n.image.CopyFrom(n.Store())
 	n.backups++
 	d := sim.Bandwidth(int64(n.Capacity()), n.backupGBs)
 	n.backupTime += d
@@ -56,17 +61,17 @@ func (n *NVDIMM) PowerFail() sim.Time {
 // returning the restore duration. Restoring without a prior backup is
 // a no-op that returns zero (cold boot).
 func (n *NVDIMM) Restore() sim.Time {
-	if !n.hasImage {
+	if n.image == nil {
 		return 0
 	}
-	n.Store().Restore(n.image)
+	n.Store().CopyFrom(n.image)
 	n.restores++
 	return sim.Bandwidth(int64(n.Capacity()), n.backupGBs)
 }
 
 // DropImage simulates losing the backup (e.g. supercap failure) so
 // tests can exercise the cold-boot path.
-func (n *NVDIMM) DropImage() { n.image = nil; n.hasImage = false }
+func (n *NVDIMM) DropImage() { n.image = nil }
 
 // Backups and Restores report lifecycle counts.
 func (n *NVDIMM) Backups() int  { return n.backups }

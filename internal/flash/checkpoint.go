@@ -12,15 +12,10 @@ import (
 // horizons, every programmed page (sorted by PPN for a deterministic
 // wire image), the per-block wear counters and the activity stats. The
 // free-buffer recycling pool is host-side scratch with no simulated
-// effect and is not serialized.
-//
-// live, when non-nil, marks which programmed pages still back a
-// mapped LBA. Stale pages keep their programmed status on the wire —
-// it gates re-programming until an erase — but their payloads are
-// dead (nothing reads a page the translation layer has invalidated)
-// and are elided as empty blobs. On a write-heavy out-of-place
-// workload this shrinks the image by the whole overwrite history.
-func (a *Array) SaveState(enc *checkpoint.Enc, live func(PPN) bool) {
+// effect and is not serialized. A stale page (see Discard) keeps its
+// programmed status on the wire — it gates re-programming until an
+// erase — as an empty payload, so the image carries live data only.
+func (a *Array) SaveState(enc *checkpoint.Enc) {
 	enc.Count(len(a.dies))
 	for _, d := range a.dies {
 		enc.I64(int64(d))
@@ -37,10 +32,6 @@ func (a *Array) SaveState(enc *checkpoint.Enc, live func(PPN) bool) {
 	enc.Count(len(ppns))
 	for _, p := range ppns {
 		enc.U64(p)
-		if live != nil && !live(PPN(p)) {
-			enc.Page(nil)
-			continue
-		}
 		enc.Page(a.data[PPN(p)])
 	}
 	blocks := make([]uint64, 0, len(a.erases))
@@ -90,9 +81,12 @@ func (a *Array) RestoreState(d *checkpoint.Dec) error {
 			return err
 		}
 		// Programs always store a full page; an empty payload is a
-		// stale page whose content the encoder elided (presence still
-		// gates re-programming). Anything else is a corrupt image.
-		if len(pg) != 0 && uint64(len(pg)) != a.Geo.PageBytes {
+		// stale page (presence still gates re-programming). Anything
+		// else is a corrupt image.
+		switch {
+		case len(pg) == 0:
+			pg = nil
+		case uint64(len(pg)) != a.Geo.PageBytes:
 			return fmt.Errorf("%w: page %d holds %d bytes (page is %d)",
 				checkpoint.ErrCorrupt, p, len(pg), a.Geo.PageBytes)
 		}

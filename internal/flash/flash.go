@@ -53,8 +53,10 @@ type Geometry struct {
 }
 
 // ULLGeometry returns the 800 GB-class 16-channel Z-NAND geometry of
-// the paper's prototype (§II-C, Table II). The FTL allocates lazily,
-// so the large block count costs only per-plane free lists.
+// the paper's prototype (§II-C, Table II). Host memory follows use,
+// not capacity: the array stores only programmed pages, and the FTL
+// sizes its per-block table by the blocks it has allocated, so the
+// 819,200 blocks cost nothing until written.
 func ULLGeometry() Geometry {
 	return Geometry{
 		Channels:     16,
@@ -147,10 +149,13 @@ type Array struct {
 
 	dies  []sim.Time // next-free per die
 	chans []*sim.Resource
-	// data holds the content of every programmed page. A page is
-	// "written" (NAND protocol state) exactly when it has a data entry;
-	// erase removes the entry and recycles its buffer through freeBufs
-	// so steady-state program/erase cycles stop allocating.
+	// data holds every programmed page. A page is "written" (NAND
+	// protocol state) exactly when it has an entry, which only an
+	// erase removes. Live pages carry a full-page payload; a stale
+	// page (Discard) keeps its entry with a nil payload, since nothing
+	// reads content the FTL has invalidated. Both Discard and erase
+	// recycle payloads through freeBufs, so host memory follows the
+	// live pages and steady-state overwrites stop allocating.
 	data     map[PPN][]byte
 	freeBufs [][]byte
 	erases   map[uint64]int64 // blockID -> erase count (wear)
@@ -222,15 +227,8 @@ func (a *Array) readTiming(t sim.Time, ad Addr, n int64) sim.Time {
 // ppn arriving at t: the die is busy for TRead, then the data crosses
 // the channel bus. It returns the completion time and the page data.
 func (a *Array) ReadPage(t sim.Time, p PPN, bytes uint32) (sim.Time, []byte) {
-	done := a.readTiming(t, a.Geo.Decompose(p), a.xferBytes(bytes))
-	var buf []byte
-	if d, ok := a.data[p]; ok {
-		buf = make([]byte, len(d))
-		copy(buf, d)
-	} else {
-		buf = make([]byte, a.Geo.PageBytes)
-	}
-	return done, buf
+	buf := make([]byte, a.Geo.PageBytes)
+	return a.ReadPageInto(t, p, bytes, buf), buf
 }
 
 // ReadPageInto is the allocation-free ReadPage: the page content lands
@@ -291,8 +289,22 @@ func (a *Array) ProgramPage(t sim.Time, p PPN, data []byte) (sim.Time, error) {
 	return done, nil
 }
 
-// EraseBlock erases the block containing ppn, invalidating every page
-// in it. It returns the completion time.
+// Discard marks ppn stale: the page stays programmed (re-programming
+// it still needs an erase) but its payload is dropped and the buffer
+// recycled. The FTL calls it when it invalidates a page, so host
+// memory holds only pages some LBA still maps. Discarding a page that
+// is unwritten or already stale is a no-op. No simulated time passes.
+func (a *Array) Discard(p PPN) {
+	if d := a.data[p]; d != nil {
+		a.freeBufs = append(a.freeBufs, d)
+		a.data[p] = nil
+	}
+}
+
+// EraseBlock erases the block containing ppn, returning every page in
+// it to the unwritten state and recycling any payload still held (the
+// FTL discards pages before it erases their block, so normally none
+// is). It returns the completion time.
 func (a *Array) EraseBlock(t sim.Time, p PPN) sim.Time {
 	ad := a.Geo.Decompose(p)
 	die := a.Geo.GlobalDie(ad)
@@ -311,14 +323,10 @@ func (a *Array) EraseBlock(t sim.Time, p PPN) sim.Time {
 	for pg := 0; pg < a.Geo.PagesPerBlk; pg++ {
 		base.Page = pg
 		ppn := a.Geo.Compose(base)
-		if d, ok := a.data[ppn]; ok {
-			// Restored stale pages carry an elided (empty) payload —
-			// only full-size buffers are safe to recycle into programs.
-			if uint64(len(d)) == a.Geo.PageBytes {
-				a.freeBufs = append(a.freeBufs, d)
-			}
-			delete(a.data, ppn)
+		if d := a.data[ppn]; d != nil {
+			a.freeBufs = append(a.freeBufs, d)
 		}
+		delete(a.data, ppn)
 	}
 	return done
 }
@@ -329,12 +337,9 @@ func (a *Array) DieNextFree(i int) sim.Time { return a.dies[i] }
 // PeekPage returns the stored page data without any timing effect.
 // Used by functional (non-timed) inspection paths.
 func (a *Array) PeekPage(p PPN) []byte {
-	if d, ok := a.data[p]; ok {
-		buf := make([]byte, len(d))
-		copy(buf, d)
-		return buf
-	}
-	return make([]byte, a.Geo.PageBytes)
+	buf := make([]byte, a.Geo.PageBytes)
+	copy(buf, a.data[p])
+	return buf
 }
 
 func (a *Array) String() string {

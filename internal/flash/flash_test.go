@@ -118,6 +118,31 @@ func TestEraseEnablesReprogram(t *testing.T) {
 	}
 }
 
+// A discarded page drops its payload but stays programmed until its
+// block is erased, so the NAND program rule still holds.
+func TestDiscardKeepsPageProgrammed(t *testing.T) {
+	a := New(smallGeo(), ZNAND())
+	a.ProgramPage(0, 5, []byte{1})
+	a.Discard(5)
+	a.Discard(6) // unwritten: no-op
+	if !a.Written(5) || a.Written(6) {
+		t.Fatalf("Written(5)=%v Written(6)=%v, want true false", a.Written(5), a.Written(6))
+	}
+	if _, err := a.ProgramPage(0, 5, []byte{2}); err != ErrProgramWritten {
+		t.Fatalf("program over a discarded page: err = %v, want ErrProgramWritten", err)
+	}
+	if got := a.PeekPage(5); !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatal("discarded page still holds data")
+	}
+	a.EraseBlock(0, 5)
+	if _, err := a.ProgramPage(0, 5, []byte{3}); err != nil {
+		t.Fatalf("reprogram after erase: %v", err)
+	}
+	if got := a.PeekPage(5); got[0] != 3 {
+		t.Fatalf("reprogrammed page holds %d, want 3", got[0])
+	}
+}
+
 func TestEraseClearsWholeBlockOnly(t *testing.T) {
 	g := smallGeo()
 	a := New(g, ZNAND())

@@ -80,3 +80,27 @@ func TestTranslateReadZeroAllocs(t *testing.T) {
 		t.Fatalf("mapped ReadInto allocates %.1f/op, want 0", avg)
 	}
 }
+
+// TestOverwriteZeroAllocs pins stale-payload recycling: overwriting a
+// mapped LBA on the full ULL geometry hands the invalidated page's
+// buffer to the next program, so steady-state overwrites allocate
+// nothing (the mapping tables grow by whole chunks, well under one
+// allocation per write).
+func TestOverwriteZeroAllocs(t *testing.T) {
+	f := New(flash.New(flash.ULLGeometry(), flash.ZNAND()), DefaultConfig())
+	buf := make([]byte, f.PageBytes())
+	var now sim.Time
+	overwrite := func() {
+		d, err := f.Write(now, 7, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = d
+	}
+	for i := 0; i < 1024; i++ {
+		overwrite()
+	}
+	if avg := testing.AllocsPerRun(500, overwrite); avg != 0 {
+		t.Fatalf("overwrite allocates %.1f/op, want 0", avg)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hams/internal/checkpoint"
+	"hams/internal/flash"
 )
 
 // saveIdxMap serializes a radix table: chunk count, then for each
@@ -62,10 +63,11 @@ func restoreIdxMap(d *checkpoint.Dec, m *idxMap) error {
 }
 
 // SaveState serializes the translation layer: both radix maps, the
-// free-block bookkeeping (virgin counters, recycled FIFOs, free
-// bitmaps), active-block cursors, valid-page counts, the allocation
-// round-robin cursor and the activity stats. The GC staging buffer is
-// host-side scratch and is not serialized.
+// free-block bookkeeping (virgin counters, recycled FIFOs), active-
+// block cursors, the allocation round-robin cursor and the activity
+// stats. Valid-page counts are derivable from p2l, so RestoreState
+// rebuilds them instead of reading them from the wire; the GC staging
+// buffer is host-side scratch. Neither is serialized.
 func (f *FTL) SaveState(enc *checkpoint.Enc) {
 	saveIdxMap(enc, &f.l2p)
 	saveIdxMap(enc, &f.p2l)
@@ -79,20 +81,10 @@ func (f *FTL) SaveState(enc *checkpoint.Enc) {
 			enc.I64(int64(b))
 		}
 	}
-	for _, words := range f.freeBit {
-		enc.Count(len(words))
-		for _, w := range words {
-			enc.U64(w)
-		}
-	}
 	enc.Count(len(f.active))
 	for _, a := range f.active {
 		enc.I64(int64(a.block))
 		enc.I64(int64(a.nextPage))
-	}
-	enc.Count(len(f.valid))
-	for _, v := range f.valid {
-		enc.I64(int64(v))
 	}
 	enc.I64(int64(f.planeRR))
 	enc.I64(f.stats.HostReads)
@@ -103,12 +95,24 @@ func (f *FTL) SaveState(enc *checkpoint.Enc) {
 	enc.I64(f.stats.UnmappedRead)
 }
 
-// RestoreState overlays the translation layer. Per-plane slice lengths
-// are structural (derived from the geometry at construction); the
-// free bitmaps in particular are carved from one shared backing array,
-// so values are copied into the existing sub-slices, never
-// reallocated.
+// RestoreState replaces the translation layer's state with the
+// image's. The plane count is structural (derived from the geometry at
+// construction). Every cursor, block id and mapping is checked against
+// the geometry before it is used, so an image that would index outside
+// the block table, or size it, fails here with ErrCorrupt instead of
+// panicking on a later write. The image is decoded into a fresh FTL
+// and adopted only once every check passes: a rejected image leaves f
+// as it was.
 func (f *FTL) RestoreState(d *checkpoint.Dec) error {
+	r := New(f.arr, f.cfg)
+	if err := r.restore(d); err != nil {
+		return err
+	}
+	*f = *r
+	return nil
+}
+
+func (f *FTL) restore(d *checkpoint.Dec) error {
 	if err := restoreIdxMap(d, &f.l2p); err != nil {
 		return err
 	}
@@ -118,48 +122,103 @@ func (f *FTL) RestoreState(d *checkpoint.Dec) error {
 	if err := structuralCount(d, "planes", len(f.virginNext)); err != nil {
 		return err
 	}
-	for i := range f.virginNext {
-		f.virginNext[i] = int(d.I64())
+	for p := range f.virginNext {
+		v := d.I64()
+		if v < 0 || v > int64(f.geo.BlocksPerPln) {
+			return fmt.Errorf("%w: plane %d virgin cursor %d outside [0, %d]",
+				checkpoint.ErrCorrupt, p, v, f.geo.BlocksPerPln)
+		}
+		f.virginNext[p] = int(v)
+		f.valid[p] = make([]int32, v)
 	}
 	for p := range f.recycled {
-		n := d.CountSized(8)
+		n := d.Count(f.virginNext[p])
 		if err := d.Err(); err != nil {
 			return err
 		}
-		f.recycled[p] = f.recycled[p][:0]
-		for i := 0; i < n; i++ {
-			f.recycled[p] = append(f.recycled[p], int(d.I64()))
-		}
-	}
-	for p := range f.freeBit {
-		if err := structuralCount(d, "freeBit words", len(f.freeBit[p])); err != nil {
-			return err
-		}
-		for i := range f.freeBit[p] {
-			f.freeBit[p][i] = d.U64()
+		f.recycled[p] = make([]int, n)
+		for i := range f.recycled[p] {
+			b := d.I64()
+			if b < 0 || b >= int64(f.virginNext[p]) || f.valid[p][b] == freeBlock {
+				return fmt.Errorf("%w: plane %d recycles block %d twice or before allocating it",
+					checkpoint.ErrCorrupt, p, b)
+			}
+			f.valid[p][b] = freeBlock
+			f.recycled[p][i] = int(b)
 		}
 	}
 	if err := structuralCount(d, "active blocks", len(f.active)); err != nil {
 		return err
 	}
-	for i := range f.active {
-		f.active[i].block = int(d.I64())
-		f.active[i].nextPage = int(d.I64())
+	for p := range f.active {
+		b, next := d.I64(), d.I64()
+		if b < -1 || b >= int64(f.virginNext[p]) || b >= 0 && f.valid[p][b] == freeBlock ||
+			next < 0 || next > int64(f.geo.PagesPerBlk) {
+			return fmt.Errorf("%w: plane %d active block %d at page %d",
+				checkpoint.ErrCorrupt, p, b, next)
+		}
+		f.active[p] = activeBlock{block: int(b), nextPage: int(next)}
 	}
-	if err := structuralCount(d, "blocks", len(f.valid)); err != nil {
-		return err
+	rr := d.I64()
+	if rr < 0 || rr >= int64(len(f.active)) {
+		return fmt.Errorf("%w: plane cursor %d out of range", checkpoint.ErrCorrupt, rr)
 	}
-	for i := range f.valid {
-		f.valid[i] = int(d.I64())
-	}
-	f.planeRR = int(d.I64())
+	f.planeRR = int(rr)
 	f.stats.HostReads = d.I64()
 	f.stats.HostWrites = d.I64()
 	f.stats.GCWrites = d.I64()
 	f.stats.GCRuns = d.I64()
 	f.stats.Erases = d.I64()
 	f.stats.UnmappedRead = d.I64()
-	return d.Err()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	return f.rebuildValid()
+}
+
+// rebuildValid derives the valid-page counts from p2l, checking on the
+// way that l2p and p2l are inverse maps and that every live page lies
+// inside the geometry, in an allocated block, and (in an active block)
+// below the write cursor.
+func (f *FTL) rebuildValid() error {
+	total := f.geo.TotalPages()
+	for ci, c := range f.p2l.chunks {
+		for i, lba := range c {
+			if lba == idxNone {
+				continue
+			}
+			ppn := uint64(ci)<<idxChunkBits | uint64(i)
+			if ppn >= total {
+				return fmt.Errorf("%w: live page %d beyond the geometry", checkpoint.ErrCorrupt, ppn)
+			}
+			if back, ok := f.l2p.get(lba); !ok || back != ppn {
+				return fmt.Errorf("%w: p2l maps page %d to lba %d, l2p disagrees",
+					checkpoint.ErrCorrupt, ppn, lba)
+			}
+			ad := f.geo.Decompose(flash.PPN(ppn))
+			plane := f.planeOf(ad)
+			v, act := f.valid[plane], f.active[plane]
+			if ad.Block >= len(v) || v[ad.Block] == freeBlock ||
+				ad.Block == act.block && ad.Page >= act.nextPage {
+				return fmt.Errorf("%w: live page %d in a free or unwritten block",
+					checkpoint.ErrCorrupt, ppn)
+			}
+			v[ad.Block]++
+		}
+	}
+	for ci, c := range f.l2p.chunks {
+		for i, ppn := range c {
+			if ppn == idxNone {
+				continue
+			}
+			lba := uint64(ci)<<idxChunkBits | uint64(i)
+			if back, ok := f.p2l.get(ppn); !ok || back != lba {
+				return fmt.Errorf("%w: l2p maps lba %d to page %d, p2l disagrees",
+					checkpoint.ErrCorrupt, lba, ppn)
+			}
+		}
+	}
+	return nil
 }
 
 func structuralCount(d *checkpoint.Dec, what string, want int) error {

@@ -105,19 +105,23 @@ type FTL struct {
 	// The free-block bookkeeping reproduces the order of the seed's
 	// explicit per-plane free lists ([0..N-1] popped from the front,
 	// erased blocks appended at the back) without materializing them:
-	// virgin blocks are a counter, recycled blocks a FIFO, and a per-
-	// plane bitmap answers pickVictim's "is this block free?" probe.
-	virginNext []int      // per plane: first never-allocated block
-	recycled   [][]int    // per plane: erased blocks, FIFO order
-	freeBit    [][]uint64 // per plane: 1 = free
+	// virgin blocks are a counter and recycled blocks a FIFO. valid
+	// covers only the blocks a plane has allocated so far (it grows by
+	// one per virgin block popFree hands out), so host memory follows
+	// allocation rather than the geometry's block count.
+	virginNext []int     // per plane: first never-allocated block
+	recycled   [][]int   // per plane: erased blocks, FIFO order
+	valid      [][]int32 // per plane, block < virginNext: valid pages, or freeBlock
 	active     []activeBlock
-	valid      []int // per global block: valid page count
-	planeRR    int   // round-robin allocation cursor
+	planeRR    int // round-robin allocation cursor
 
 	gcBuf []byte // relocation scratch (one page)
 
 	stats Stats
 }
+
+// freeBlock marks a recycled (erased, unallocated) block in valid.
+const freeBlock = -1
 
 // New wraps arr with a translation layer.
 func New(arr *flash.Array, cfg Config) *FTL {
@@ -128,18 +132,11 @@ func New(arr *flash.Array, cfg Config) *FTL {
 		cfg:        cfg,
 		virginNext: make([]int, g.Planes()),
 		recycled:   make([][]int, g.Planes()),
-		freeBit:    make([][]uint64, g.Planes()),
+		valid:      make([][]int32, g.Planes()),
 		active:     make([]activeBlock, g.Planes()),
-		valid:      make([]int, g.Blocks()),
 		gcBuf:      make([]byte, g.PageBytes),
 	}
-	words := (g.BlocksPerPln + 63) / 64
-	bits := make([]uint64, words*g.Planes())
-	for i := range bits {
-		bits[i] = ^uint64(0)
-	}
-	for p := range f.freeBit {
-		f.freeBit[p] = bits[p*words : (p+1)*words]
+	for p := range f.active {
 		f.active[p] = activeBlock{block: -1}
 	}
 	return f
@@ -171,15 +168,6 @@ func (f *FTL) Mapped(lba uint64) bool {
 	return ok
 }
 
-// Live reports whether ppn currently backs a mapped LBA. Programmed
-// pages that fail this are stale: invalidated by an overwrite or trim,
-// unreadable through the translation layer, waiting for GC to erase
-// their block.
-func (f *FTL) Live(p flash.PPN) bool {
-	_, ok := f.p2l.get(uint64(p))
-	return ok
-}
-
 // planeCoords returns the Addr template for a global plane index.
 func (f *FTL) planeCoords(plane int) flash.Addr {
 	g := f.geo
@@ -192,8 +180,9 @@ func (f *FTL) planeCoords(plane int) flash.Addr {
 	return flash.Addr{Channel: ch, Package: pkg, Die: die, Plane: pln}
 }
 
-func (f *FTL) blockIndex(plane, block int) int {
-	return plane*f.geo.BlocksPerPln + block
+// planeOf returns the global plane index of a physical address.
+func (f *FTL) planeOf(ad flash.Addr) int {
+	return f.geo.GlobalDie(ad)*f.geo.PlanesPerDie + ad.Plane
 }
 
 // freeCount returns the plane's free-block count (virgin + recycled).
@@ -201,26 +190,13 @@ func (f *FTL) freeCount(plane int) int {
 	return (f.geo.BlocksPerPln - f.virginNext[plane]) + len(f.recycled[plane])
 }
 
-func (f *FTL) isFree(plane, block int) bool {
-	return f.freeBit[plane][block>>6]&(1<<(uint(block)&63)) != 0
-}
-
-func (f *FTL) setFree(plane, block int, free bool) {
-	if free {
-		f.freeBit[plane][block>>6] |= 1 << (uint(block) & 63)
-	} else {
-		f.freeBit[plane][block>>6] &^= 1 << (uint(block) & 63)
-	}
-}
-
 // popFree pulls the next free block in the plane, in the same order
 // the seed's explicit list produced: virgin blocks 0..N-1 first, then
 // recycled blocks in erase order.
 func (f *FTL) popFree(plane int) (int, bool) {
-	if f.virginNext[plane] < f.geo.BlocksPerPln {
-		b := f.virginNext[plane]
+	if b := f.virginNext[plane]; b < f.geo.BlocksPerPln {
 		f.virginNext[plane]++
-		f.setFree(plane, b, false)
+		f.valid[plane] = append(f.valid[plane], 0)
 		return b, true
 	}
 	r := f.recycled[plane]
@@ -229,7 +205,7 @@ func (f *FTL) popFree(plane int) (int, bool) {
 	}
 	b := r[0]
 	f.recycled[plane] = r[1:]
-	f.setFree(plane, b, false)
+	f.valid[plane][b] = 0
 	return b, true
 }
 
@@ -253,12 +229,21 @@ func (f *FTL) allocate(plane int) (flash.PPN, bool) {
 	return f.geo.Compose(ad), true
 }
 
-// invalidate drops the mapping of an old PPN (overwrite or trim).
+// mapPage points lba at the freshly programmed ppn.
+func (f *FTL) mapPage(lba uint64, p flash.PPN) {
+	f.l2p.set(lba, uint64(p))
+	f.p2l.set(uint64(p), lba)
+	ad := f.geo.Decompose(p)
+	f.valid[f.planeOf(ad)][ad.Block]++
+}
+
+// invalidate drops the reverse mapping of an old PPN (overwrite, trim
+// or GC relocation) and lets the array free its payload.
 func (f *FTL) invalidate(p flash.PPN) {
 	f.p2l.del(uint64(p))
 	ad := f.geo.Decompose(p)
-	plane := f.geo.GlobalDie(ad)*f.geo.PlanesPerDie + ad.Plane
-	f.valid[f.blockIndex(plane, ad.Block)]--
+	f.valid[f.planeOf(ad)][ad.Block]--
+	f.arr.Discard(p)
 }
 
 // Write stores data (one logical page) at lba, arriving at t. It
@@ -280,18 +265,14 @@ func (f *FTL) Write(t sim.Time, lba uint64, data []byte) (sim.Time, error) {
 	if !ok {
 		return now, ErrFull
 	}
-	if old, dup := f.l2p.get(lba); dup {
-		f.invalidate(flash.PPN(old))
-	}
 	done, err := f.arr.ProgramPage(now, ppn, data)
 	if err != nil {
 		return done, fmt.Errorf("ftl: allocation handed out a dirty page: %w", err)
 	}
-	f.l2p.set(lba, uint64(ppn))
-	f.p2l.set(uint64(ppn), lba)
-	ad := f.geo.Decompose(ppn)
-	pl := f.geo.GlobalDie(ad)*f.geo.PlanesPerDie + ad.Plane
-	f.valid[f.blockIndex(pl, ad.Block)]++
+	if old, dup := f.l2p.get(lba); dup {
+		f.invalidate(flash.PPN(old))
+	}
+	f.mapPage(lba, ppn)
 	f.stats.HostWrites++
 	return done, nil
 }
@@ -378,11 +359,7 @@ func (f *FTL) collect(t sim.Time, plane int) (sim.Time, error) {
 				return now, fmt.Errorf("ftl gc: %w", err)
 			}
 			f.invalidate(ppn)
-			f.l2p.set(lba, uint64(dst))
-			f.p2l.set(uint64(dst), lba)
-			adDst := f.geo.Decompose(dst)
-			pl := f.geo.GlobalDie(adDst)*f.geo.PlanesPerDie + adDst.Plane
-			f.valid[f.blockIndex(pl, adDst.Block)]++
+			f.mapPage(lba, dst)
 			f.stats.GCWrites++
 			now = progDone
 		}
@@ -390,23 +367,21 @@ func (f *FTL) collect(t sim.Time, plane int) (sim.Time, error) {
 		now = f.arr.EraseBlock(now, f.geo.Compose(ad))
 		f.stats.Erases++
 		f.recycled[plane] = append(f.recycled[plane], victim)
-		f.setFree(plane, victim, true)
+		f.valid[plane][victim] = freeBlock
 	}
 	return now, nil
 }
 
 // pickVictim returns the closed block in plane with the fewest valid
 // pages that is not the active block and not free, or -1 when every
-// candidate is fully valid (nothing reclaimable) or none exists.
+// candidate is fully valid (nothing reclaimable) or none exists. Only
+// allocated blocks can be candidates, so the scan stops at the
+// plane's virgin cursor.
 func (f *FTL) pickVictim(plane int) int {
-	best, bestValid := -1, f.geo.PagesPerBlk
+	best, bestValid := -1, int32(f.geo.PagesPerBlk)
 	act := f.active[plane].block
-	for b := 0; b < f.geo.BlocksPerPln; b++ {
-		if b == act || f.isFree(plane, b) {
-			continue
-		}
-		v := f.valid[f.blockIndex(plane, b)]
-		if v < bestValid {
+	for b, v := range f.valid[plane] {
+		if b != act && v != freeBlock && v < bestValid {
 			best, bestValid = b, v
 		}
 	}

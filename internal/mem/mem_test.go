@@ -183,27 +183,55 @@ func TestSparseStoreZero(t *testing.T) {
 	}
 }
 
-func TestSparseStoreSnapshotIsDeep(t *testing.T) {
+func TestSparseStoreCopyFromIsDeep(t *testing.T) {
 	s := NewSparseStore()
 	s.WriteAt(0, []byte{1, 2, 3})
-	snap := s.Snapshot()
+	snap := NewSparseStore()
+	snap.CopyFrom(s)
 	s.WriteAt(0, []byte{9, 9, 9})
 	got := make([]byte, 3)
 	snap.ReadAt(0, got)
 	if !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("snapshot mutated: %v", got)
+		t.Fatalf("copy mutated: %v", got)
 	}
-	s.Restore(snap)
+	s.CopyFrom(snap)
 	s2 := make([]byte, 3)
 	s.ReadAt(0, s2)
 	if !bytes.Equal(s2, []byte{1, 2, 3}) {
-		t.Fatalf("restore failed: %v", s2)
+		t.Fatalf("copy back failed: %v", s2)
 	}
-	// Restored frames must be independent of the snapshot.
+	// Copied frames must be independent of the source.
 	s.WriteAt(0, []byte{7})
 	snap.ReadAt(0, got)
 	if got[0] != 1 {
-		t.Fatal("restore aliased snapshot frames")
+		t.Fatal("copy aliased source frames")
+	}
+}
+
+// A destination holding frames the source lacks ends up with exactly
+// the source's frame set: the extra frames read as zero and no longer
+// count as resident, even in radix chunks the source never touched.
+func TestSparseStoreCopyFromDropsExtraFrames(t *testing.T) {
+	src := NewSparseStore()
+	src.WriteAt(0, []byte{1})
+	dst := NewSparseStore()
+	dst.WriteAt(0, []byte{5})
+	dst.WriteAt(8*KiB, []byte{6})  // same radix chunk as frame 0
+	dst.WriteAt(64*MiB, []byte{7}) // a chunk src lacks
+	dst.CopyFrom(src)
+	if dst.Frames() != src.Frames() {
+		t.Fatalf("Frames() = %d, want %d", dst.Frames(), src.Frames())
+	}
+	got := make([]byte, 1)
+	for addr, want := range map[uint64]byte{0: 1, 8 * KiB: 0, 64 * MiB: 0} {
+		dst.ReadAt(addr, got)
+		if got[0] != want {
+			t.Fatalf("byte at %#x = %d, want %d", addr, got[0], want)
+		}
+	}
+	// The frame set now matches, so copying again allocates nothing.
+	if avg := testing.AllocsPerRun(20, func() { dst.CopyFrom(src) }); avg != 0 {
+		t.Fatalf("CopyFrom over a matching frame set allocates %.1f/op, want 0", avg)
 	}
 }
 

@@ -1,5 +1,7 @@
 package mem
 
+import "slices"
+
 // PageLRU is an allocation-light LRU index over a sparse page-number
 // key space, shared by the simulator's big page caches (the OS page
 // cache, the baseline DRAM caches, the SSD internal buffer). It
@@ -122,6 +124,18 @@ func (l *PageLRU) InsertFront(page uint64) int32 {
 	l.index(page, slot+1)
 	l.n++
 	return slot
+}
+
+// Grow reserves slot space for n more inserts (recycled slots count
+// toward n), so a caller about to insert a known number of pages — a
+// cache warm-up — fills the slot arrays without reallocating them as
+// they double. Callers grow their payload slices by n to match.
+func (l *PageLRU) Grow(n int) {
+	if n -= len(l.free); n > 0 {
+		l.pages = slices.Grow(l.pages, n)
+		l.prev = slices.Grow(l.prev, n)
+		l.next = slices.Grow(l.next, n)
+	}
 }
 
 // TailSlot returns the least recently used slot, or -1 when empty.

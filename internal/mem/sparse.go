@@ -8,7 +8,7 @@ package mem
 // Frames are indexed by a two-level radix table (frame id split into
 // chunk / offset) instead of a map: the per-access lookups on the
 // simulator's hot path become two slice loads, and iteration order
-// (Snapshot/Restore, Frames) is deterministic by construction.
+// (CopyFrom, Frames, SaveState) is deterministic by construction.
 type SparseStore struct {
 	chunks [][]*[frameSize]byte // fid>>framesPerChunkBits → chunk
 	n      int                  // allocated frames
@@ -133,31 +133,50 @@ func (s *SparseStore) Zero(addr, n uint64) {
 // Frames returns the number of allocated 4 KiB frames (resident set).
 func (s *SparseStore) Frames() int { return s.n }
 
-// Snapshot returns a deep copy of the store. Used to model the NVDIMM
-// supercap backup image taken at power failure.
-func (s *SparseStore) Snapshot() *SparseStore {
-	c := NewSparseStore()
-	c.chunks = make([][]*[frameSize]byte, len(s.chunks))
-	for ci, ch := range s.chunks {
-		if ch == nil {
+// CopyFrom makes s hold exactly src's contents and frame set, reusing
+// the frames s already has: a frame both stores hold is overwritten in
+// place, one only src holds is allocated, and one only s holds is
+// dropped. Copying between two stores with the same frame set — the
+// NVDIMM's backup image and its DRAM on every power cycle — therefore
+// allocates nothing.
+func (s *SparseStore) CopyFrom(src *SparseStore) {
+	if s == src {
+		return
+	}
+	for len(s.chunks) < len(src.chunks) {
+		s.chunks = append(s.chunks, nil)
+	}
+	for ci, dc := range s.chunks {
+		var sc []*[frameSize]byte
+		if ci < len(src.chunks) {
+			sc = src.chunks[ci]
+		}
+		if sc == nil {
+			for _, f := range dc {
+				if f != nil {
+					s.n--
+				}
+			}
+			s.chunks[ci] = nil
 			continue
 		}
-		nc := make([]*[frameSize]byte, framesPerChunk)
-		for i, f := range ch {
-			if f != nil {
+		if dc == nil {
+			dc = make([]*[frameSize]byte, framesPerChunk)
+			s.chunks[ci] = dc
+		}
+		for i, f := range sc {
+			switch {
+			case f != nil && dc[i] != nil:
+				*dc[i] = *f
+			case f != nil:
 				nf := *f
-				nc[i] = &nf
-				c.n++
+				dc[i] = &nf
+				s.n++
+			case dc[i] != nil:
+				dc[i] = nil
+				s.n--
 			}
 		}
-		c.chunks[ci] = nc
 	}
-	return c
-}
-
-// Restore replaces the contents of s with the snapshot's contents.
-func (s *SparseStore) Restore(snap *SparseStore) {
-	r := snap.Snapshot()
-	s.chunks = r.chunks
-	s.n = r.n
+	s.chunks = s.chunks[:len(src.chunks)]
 }

@@ -8,6 +8,8 @@
 package osmodel
 
 import (
+	"slices"
+
 	"hams/internal/dram"
 	"hams/internal/mem"
 	"hams/internal/pcie"
@@ -150,6 +152,11 @@ func (m *MMF) Stats() Stats { return m.stats }
 // cache without charging time (steady-state pre-warm; see core.Warm).
 func (m *MMF) Warm(base, size uint64) {
 	end := base + size
+	pages := (end+m.cfg.OSPageBytes-1)/m.cfg.OSPageBytes - base/m.cfg.OSPageBytes
+	if n := min(m.cfg.CachePages-m.cache.Len(), int(pages)); n > 0 {
+		m.cache.Grow(n)
+		m.dirty = slices.Grow(m.dirty, n)
+	}
 	for addr := mem.AlignDown(base, m.cfg.OSPageBytes); addr < end; addr += m.cfg.OSPageBytes {
 		if m.cache.Len() >= m.cfg.CachePages {
 			return

@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"slices"
+
 	"hams/internal/cpu"
 	"hams/internal/dram"
 	"hams/internal/energy"
@@ -76,6 +78,11 @@ func (c *dramCache) shouldPromote(addr uint64) bool {
 // warm fills the cache with the pages of [base, base+size) untimed.
 func (c *dramCache) warm(base, size uint64) {
 	end := base + size
+	pages := (end+c.pageBytes-1)/c.pageBytes - base/c.pageBytes
+	if n := min(c.capPages-c.lru.Len(), int(pages)); n > 0 {
+		c.lru.Grow(n)
+		c.dirty = slices.Grow(c.dirty, n)
+	}
 	for addr := base / c.pageBytes * c.pageBytes; addr < end; addr += c.pageBytes {
 		if c.lru.Len() >= c.capPages {
 			return

@@ -12,7 +12,7 @@ import (
 // stats. The miss-path scratch page is host-side staging and is not
 // serialized.
 func (d *Device) SaveState(enc *checkpoint.Enc) {
-	d.arr.SaveState(enc, d.ftl.Live)
+	d.arr.SaveState(enc)
 	d.ftl.SaveState(enc)
 	d.hil.SaveState(enc)
 	d.bufBus.SaveState(enc)
