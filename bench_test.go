@@ -12,8 +12,8 @@ import (
 )
 
 // benchOpts keeps `go test -bench=.` under a few minutes end to end.
-// Parallel is 0 (= GOMAXPROCS), so every engine-ported figure
-// benchmark exercises the concurrent path by default; the *Serial
+// Parallel is 0 (= GOMAXPROCS), so every figure benchmark exercises
+// the concurrent path by default; the *Serial
 // variants below measure the 1-worker baseline for comparison.
 var benchOpts = experiments.Options{Scale: 5e-7, Seed: 42}
 

@@ -1,6 +1,8 @@
 package api
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -283,5 +285,26 @@ func TestExecuteRunMatchesRunOne(t *testing.T) {
 	}
 	if len(progressed) != 1 || progressed[0].Key != cells[0].Key {
 		t.Fatalf("progress stream = %+v", progressed)
+	}
+}
+
+// TestExecuteTargetRecordsAndCancels: a figure target job records
+// every cell it runs and stops under a cancelled context.
+func TestExecuteTargetRecordsAndCancels(t *testing.T) {
+	spec := JobSpec{Kind: KindTarget, Targets: []string{"fig10"}, Scale: 1e-7}
+	if err := Validate(spec); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := Execute(spec, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 9 || cells[0].Key != "fig10/rndRd/hams-LE" {
+		t.Fatalf("fig10 job recorded %d cells (first %+v), want 9 from fig10/rndRd/hams-LE", len(cells), cells)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Execute(spec, ExecOptions{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fig10 job: err = %v, want context.Canceled", err)
 	}
 }

@@ -9,8 +9,10 @@ import (
 	"fmt"
 
 	"hams/internal/checkpoint"
+	"hams/internal/core"
 	"hams/internal/cpu"
 	"hams/internal/energy"
+	"hams/internal/osmodel"
 	"hams/internal/platform"
 	"hams/internal/report"
 	"hams/internal/runner"
@@ -23,10 +25,10 @@ import (
 type Options struct {
 	// Scale multiplies Table III instruction counts (default 3e-6).
 	Scale float64
-	// Seed fixes workload randomness. Targets that run through the
-	// concurrent engine derive each cell's seed from this value and
-	// the cell's workload (runner.DeriveSeed), so results are
-	// identical for any worker count.
+	// Seed fixes workload randomness. Every target derives each
+	// cell's seed from this value and the cell's workload or scenario
+	// (runner.DeriveSeed), so results are identical for any worker
+	// count.
 	Seed int64
 	// Parallel is the engine worker count: 0 = GOMAXPROCS, 1 = serial.
 	Parallel int
@@ -115,14 +117,22 @@ func (o Options) applyMSHRs(p platform.Options) platform.Options {
 	return p
 }
 
-// RunResult captures one workload × platform run.
+// RunResult captures one workload × platform run. It keeps the
+// platform's counters, never the platform itself, so a finished cell
+// holds no simulated device state.
 type RunResult struct {
 	Platform string
 	Workload string
 	CPU      cpu.Stats
 	Units    int64 // pages (micro/Rodinia) or SQL ops
 	Energy   energy.Breakdown
-	Plat     platform.Platform
+	// MoS and PeakQD are the HAMS controller's counters and its peak
+	// NVMe queue depth; zero on platforms without a MoS controller.
+	MoS    core.Stats
+	PeakQD int
+	// MMF is the mmap baseline model's counters; zero on other
+	// platforms.
+	MMF osmodel.Stats
 }
 
 // UnitsPerSec returns work items per second of simulated time.
@@ -174,11 +184,18 @@ func Run(platName, wlName string, o Options, popt platform.Options, wopt *worklo
 	in.Elapsed = st.Elapsed
 	in.Cores = cpu.DefaultConfig().Cores
 	in.CPUBusy = busyTime(st)
-	eb := energy.Compute(energy.DefaultParams(), in)
-	return RunResult{
+	r := RunResult{
 		Platform: platName, Workload: wlName,
-		CPU: st, Units: units, Energy: eb, Plat: plat,
-	}, nil
+		CPU: st, Units: units, Energy: energy.Compute(energy.DefaultParams(), in),
+	}
+	if h, ok := plat.(interface{ Controller() *core.Controller }); ok {
+		ctl := h.Controller()
+		r.MoS, r.PeakQD = ctl.Stats(), ctl.PeakQueueDepth()
+	}
+	if m, ok := plat.(interface{ MMF() *osmodel.MMF }); ok {
+		r.MMF = m.MMF().Stats()
+	}
+	return r, nil
 }
 
 // busyTime estimates the cores' active (non-stalled) time: compute
@@ -192,13 +209,13 @@ func busyTime(st cpu.Stats) sim.Time {
 	return st.ComputeTime + cache
 }
 
-// workloadsOf filters Table III by suite kinds.
-func workloadsOf(kinds ...workload.Kind) []workload.Spec {
-	var out []workload.Spec
+// workloadsOf filters Table III's workload names by suite kinds.
+func workloadsOf(kinds ...workload.Kind) []string {
+	var out []string
 	for _, s := range workload.All() {
 		for _, k := range kinds {
 			if s.Kind == k {
-				out = append(out, s)
+				out = append(out, s.Name)
 			}
 		}
 	}

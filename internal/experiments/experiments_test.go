@@ -131,7 +131,7 @@ func TestShapeLooseDMAShareHigher(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := r.Plat.(hamsExposer).Controller().Stats()
+		cs := r.MoS
 		den := float64(cs.NVDIMMTime + cs.DMATime + cs.SSDTime + cs.WaitTime)
 		if den == 0 {
 			return 0
@@ -189,7 +189,7 @@ func TestHitRateNearPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr := r.Plat.(hamsExposer).Controller().Stats().HitRate()
+	hr := r.MoS.HitRate()
 	if hr < 0.80 || hr > 1.0 {
 		t.Fatalf("hit rate %.3f outside [0.80, 1.0]", hr)
 	}

@@ -3,11 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"hams/internal/core"
 	"hams/internal/cpu"
 	"hams/internal/mem"
-	"hams/internal/osmodel"
 	"hams/internal/pcie"
 	"hams/internal/platform"
 	"hams/internal/report"
@@ -187,20 +187,23 @@ func Fig5(o Options) ([]*stats.Table, error) {
 // ---------------------------------------------------------------------
 // Fig. 6: MMF-based system performance across SSDs.
 
-// Fig6 regenerates both panels.
+// Fig6 regenerates both panels: every workload on mmap over each SSD.
 func Fig6(o Options) ([]*stats.Table, error) {
 	ssds := []string{"sata", "nvme", "ull"}
 	labels := []string{"SATA-SSD", "NVMe-SSD", "ULL-Flash"}
+	micro := []string{"seqRd", "rndRd", "seqWr", "rndWr"}
+	sqlite := []string{"seqSel", "rndSel", "seqIns", "rndIns", "update"}
+	res, err := runGrid(o, "fig6", slices.Concat(micro, sqlite), ssds,
+		func(s string) (string, platform.Options) { return "mmap", platform.Options{MmapSSD: s} })
+	if err != nil {
+		return nil, err
+	}
 
 	a := stats.NewTable("Fig. 6a: mmap-bench bandwidth (MB/s)",
 		append([]string{"workload"}, labels...)...)
-	for _, wl := range []string{"seqRd", "rndRd", "seqWr", "rndWr"} {
+	for w, wl := range micro {
 		row := []string{wl}
-		for _, s := range ssds {
-			r, err := Run("mmap", wl, o, platform.Options{MmapSSD: s}, nil)
-			if err != nil {
-				return nil, err
-			}
+		for _, r := range res[w] {
 			row = append(row, stats.F(r.UnitsPerSec()*4096/1e6)) // pages/s -> MB/s
 		}
 		a.AddRow(row...)
@@ -208,13 +211,9 @@ func Fig6(o Options) ([]*stats.Table, error) {
 
 	b := stats.NewTable("Fig. 6b: SQLite latency per op (us)",
 		append([]string{"workload"}, labels...)...)
-	for _, wl := range []string{"seqSel", "rndSel", "seqIns", "rndIns", "update"} {
+	for w, wl := range sqlite {
 		row := []string{wl}
-		for _, s := range ssds {
-			r, err := Run("mmap", wl, o, platform.Options{MmapSSD: s}, nil)
-			if err != nil {
-				return nil, err
-			}
+		for _, r := range res[len(micro)+w] {
 			if r.Units > 0 {
 				row = append(row, stats.F(float64(r.CPU.Elapsed)/1000/float64(r.Units)))
 			} else {
@@ -231,43 +230,28 @@ func Fig6(o Options) ([]*stats.Table, error) {
 
 var fig7Workloads = []string{"rndRd", "rndWr", "seqRd", "seqWr", "rndIns", "seqIns", "update", "rndSel", "seqSel"}
 
-// mmfExposer lets the harness reach the MMF model inside the mmap
-// platform without exporting the concrete type.
-type mmfExposer interface{ MMF() *osmodel.MMF }
-
 // Fig7 regenerates the execution breakdown (a) and bypass IPC (b).
+// Both panels read the same oracle (NVDIMM) cell of each workload.
 func Fig7(o Options) ([]*stats.Table, error) {
+	res, err := runGrid(o, "fig7", fig7Workloads, []string{"mmap", "oracle", "ull-direct", "ull-buff"}, nil)
+	if err != nil {
+		return nil, err
+	}
 	a := stats.NewTable("Fig. 7a: mmap execution breakdown (shares) + degradation vs NVDIMM",
 		"workload", "mmap", "I/O stack", "SSD", "CPU", "degradation")
-	for _, wl := range fig7Workloads {
-		r, err := Run("mmap", wl, o, platform.Options{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		ms := r.Plat.(mmfExposer).MMF().Stats()
-		total := float64(r.CPU.Elapsed)
-		if total <= 0 {
-			continue
-		}
-		sh := stats.Shares(float64(ms.MmapTime), float64(ms.StackTime), float64(ms.SSDTime),
-			total-float64(ms.MmapTime+ms.StackTime+ms.SSDTime))
-		or, err := Run("oracle", wl, o, platform.Options{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		deg := 1 - float64(or.CPU.Elapsed)/total
-		a.AddRow(wl, stats.Pct(sh[0]), stats.Pct(sh[1]), stats.Pct(sh[2]), stats.Pct(sh[3]), stats.Pct(deg))
-	}
-
 	b := stats.NewTable("Fig. 7b: IPC of bypass strategies",
 		"workload", "NVDIMM", "ULL", "ULL-buff")
-	for _, wl := range fig7Workloads {
+	for w, wl := range fig7Workloads {
+		mm, bypass := res[w][0], res[w][1:]
+		if total := float64(mm.CPU.Elapsed); total > 0 {
+			ms := mm.MMF
+			sh := stats.Shares(float64(ms.MmapTime), float64(ms.StackTime), float64(ms.SSDTime),
+				total-float64(ms.MmapTime+ms.StackTime+ms.SSDTime))
+			deg := 1 - float64(bypass[0].CPU.Elapsed)/total
+			a.AddRow(wl, stats.Pct(sh[0]), stats.Pct(sh[1]), stats.Pct(sh[2]), stats.Pct(sh[3]), stats.Pct(deg))
+		}
 		row := []string{wl}
-		for _, pn := range []string{"oracle", "ull-direct", "ull-buff"} {
-			r, err := Run(pn, wl, o, platform.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
+		for _, r := range bypass {
 			row = append(row, fmt.Sprintf("%.4f", r.CPU.IPC(cpu.DefaultConfig())))
 		}
 		b.AddRow(row...)
@@ -278,25 +262,27 @@ func Fig7(o Options) ([]*stats.Table, error) {
 // ---------------------------------------------------------------------
 // Fig. 10a: DMA share of AMAT under baseline (loose) HAMS.
 
-// hamsExposer reaches the controller inside a HAMS platform.
-type hamsExposer interface{ Controller() *core.Controller }
+// memDelay is the controller's total memory-access delay: the
+// denominator of the Fig. 10a shares and the Fig. 18 decomposition.
+func memDelay(cs core.Stats) float64 {
+	return float64(cs.NVDIMMTime + cs.DMATime + cs.SSDTime + cs.WaitTime)
+}
 
 // Fig10 regenerates the DMA-overhead fractions.
 func Fig10(o Options) (*stats.Table, error) {
+	res, err := runGrid(o, "fig10", fig7Workloads, []string{"hams-LE"}, nil)
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Fig. 10a: interface/DMA share of memory access time (hams-L)",
 		"workload", "DMA share")
-	for _, wl := range fig7Workloads {
-		r, err := Run("hams-LE", wl, o, platform.Options{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		cs := r.Plat.(hamsExposer).Controller().Stats()
-		den := float64(cs.NVDIMMTime + cs.DMATime + cs.SSDTime + cs.WaitTime)
-		if den <= 0 {
+	for w, wl := range fig7Workloads {
+		cs := res[w][0].MoS
+		if den := memDelay(cs); den > 0 {
+			t.AddRow(wl, stats.Pct(float64(cs.DMATime)/den))
+		} else {
 			t.AddRow(wl, "-")
-			continue
 		}
-		t.AddRow(wl, stats.Pct(float64(cs.DMATime)/den))
 	}
 	return t, nil
 }
@@ -311,42 +297,25 @@ func Fig10(o Options) (*stats.Table, error) {
 func Fig16(o Options) ([]*stats.Table, error) {
 	plats := platform.Names()
 	micro := workloadsOf(workload.Micro, workload.Rodinia)
-	sqlite := workloadsOf(workload.SQLite)
-
-	var cells []matrixCell
-	for _, s := range append(append([]workload.Spec{}, micro...), sqlite...) {
-		for _, pn := range plats {
-			cells = append(cells, matrixCell{
-				key: s.Name + "/" + pn, platform: pn, workload: s.Name,
-			})
-		}
-	}
-	res, err := runMatrix(o, "fig16", cells)
+	wls := slices.Concat(micro, workloadsOf(workload.SQLite))
+	res, err := runGrid(o, "fig16", wls, plats, nil)
 	if err != nil {
 		return nil, err
 	}
-
 	a := stats.NewTable("Fig. 16a: app performance (K pages/s)",
 		append([]string{"workload"}, plats...)...)
-	i := 0
-	for _, s := range micro {
-		row := []string{s.Name}
-		for range plats {
-			row = append(row, stats.F(res[i].UnitsPerSec()/1000))
-			i++
-		}
-		a.AddRow(row...)
-	}
-
 	b := stats.NewTable("Fig. 16b: SQLite performance (ops/s)",
 		append([]string{"workload"}, plats...)...)
-	for _, s := range sqlite {
-		row := []string{s.Name}
-		for range plats {
-			row = append(row, stats.F(res[i].UnitsPerSec()))
-			i++
+	for w, wl := range wls {
+		tab, scale := a, 1000.0
+		if w >= len(micro) {
+			tab, scale = b, 1
 		}
-		b.AddRow(row...)
+		row := []string{wl}
+		for _, r := range res[w] {
+			row = append(row, stats.F(r.UnitsPerSec()/scale))
+		}
+		tab.AddRow(row...)
 	}
 	return []*stats.Table{a, b}, nil
 }
@@ -354,41 +323,38 @@ func Fig16(o Options) ([]*stats.Table, error) {
 // ---------------------------------------------------------------------
 // Fig. 17: system-level execution-time breakdown.
 
+// fig17Plats are the platforms of Figs. 17 and 19 and the headline:
+// the mmap baseline first, then the four HAMS variants.
 var fig17Plats = []string{"mmap", "hams-LP", "hams-LE", "hams-TP", "hams-TE"}
 
-// Fig17 regenerates the normalized execution breakdown.
+// Fig17 regenerates the execution breakdown, normalized to mmap.
 func Fig17(o Options) (*stats.Table, error) {
+	wls := workload.Names()
+	res, err := runGrid(o, "fig17", wls, fig17Plats, nil)
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Fig. 17: execution time breakdown, normalized to mmap",
 		"workload", "platform", "OS", "SSD", "app", "norm. total")
-	for _, wl := range workload.Names() {
+	for w, wl := range wls {
 		spec, err := workload.ByName(wl)
 		if err != nil {
 			return nil, err
 		}
 		threads := float64(spec.Threads)
-		var mmapElapsed float64
-		for _, pn := range fig17Plats {
-			r, err := Run(pn, wl, o, platform.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
-			total := float64(r.CPU.Elapsed)
-			if pn == "mmap" {
-				mmapElapsed = total
-			}
+		mmapElapsed := float64(res[w][0].CPU.Elapsed)
+		for p, r := range res[w] {
 			// OS/SSD times accumulate across cores; fold them back to
 			// wall-clock shares before normalizing to the mmap bar.
+			total := float64(r.CPU.Elapsed)
 			osT := float64(r.CPU.OSTime) / threads
 			ssdT := float64(r.CPU.SSDTime+r.CPU.DMATime) / threads
-			app := total - osT - ssdT
-			if app < 0 {
-				app = 0
-			}
+			app := max(total-osT-ssdT, 0)
 			norm := 0.0
 			if mmapElapsed > 0 {
 				norm = total / mmapElapsed
 			}
-			t.AddRow(wl, pn,
+			t.AddRow(wl, fig17Plats[p],
 				stats.F(osT/mmapElapsed), stats.F(ssdT/mmapElapsed), stats.F(app/mmapElapsed),
 				stats.F(norm))
 		}
@@ -402,29 +368,26 @@ func Fig17(o Options) (*stats.Table, error) {
 // Fig18 regenerates the NVDIMM/DMA/SSD decomposition, normalized to
 // hams-LP per workload.
 func Fig18(o Options) (*stats.Table, error) {
+	wls := workload.Names()
+	hamses := fig17Plats[1:]
+	res, err := runGrid(o, "fig18", wls, hamses, nil)
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Fig. 18: memory delay breakdown (normalized to hams-LP)",
 		"workload", "platform", "NVDIMM", "DMA", "SSD", "wait", "norm. total")
-	hamses := []string{"hams-LP", "hams-LE", "hams-TP", "hams-TE"}
-	for _, wl := range workload.Names() {
-		var base float64
-		for _, pn := range hamses {
-			r, err := Run(pn, wl, o, platform.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
-			cs := r.Plat.(hamsExposer).Controller().Stats()
-			total := float64(cs.NVDIMMTime + cs.DMATime + cs.SSDTime + cs.WaitTime)
-			if pn == "hams-LP" {
-				base = total
-			}
+	for w, wl := range wls {
+		base := memDelay(res[w][0].MoS)
+		for p, r := range res[w] {
 			if base <= 0 {
-				t.AddRow(wl, pn, "-", "-", "-", "-", "-")
+				t.AddRow(wl, hamses[p], "-", "-", "-", "-", "-")
 				continue
 			}
-			t.AddRow(wl, pn,
+			cs := r.MoS
+			t.AddRow(wl, hamses[p],
 				stats.F(float64(cs.NVDIMMTime)/base), stats.F(float64(cs.DMATime)/base),
 				stats.F(float64(cs.SSDTime)/base), stats.F(float64(cs.WaitTime)/base),
-				stats.F(total/base))
+				stats.F(memDelay(cs)/base))
 		}
 	}
 	return t, nil
@@ -435,23 +398,21 @@ func Fig18(o Options) (*stats.Table, error) {
 
 // Fig19 regenerates the four-component energy decomposition.
 func Fig19(o Options) (*stats.Table, error) {
+	wls := workload.Names()
+	res, err := runGrid(o, "fig19", wls, fig17Plats, nil)
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Fig. 19: energy breakdown (normalized to mmap)",
 		"workload", "platform", "CPU", "NVDIMM", "int. DRAM", "Z-NAND", "norm. total")
-	for _, wl := range workload.Names() {
-		var base float64
-		for _, pn := range fig17Plats {
-			r, err := Run(pn, wl, o, platform.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
+	for w, wl := range wls {
+		base := res[w][0].Energy.Total()
+		if base <= 0 {
+			continue
+		}
+		for p, r := range res[w] {
 			e := r.Energy
-			if pn == "mmap" {
-				base = e.Total()
-			}
-			if base <= 0 {
-				continue
-			}
-			t.AddRow(wl, pn,
+			t.AddRow(wl, fig17Plats[p],
 				stats.F(e.CPU/base), stats.F(e.NVDIMM/base),
 				stats.F(e.InternalDRAM/base), stats.F(e.ZNAND/base),
 				stats.F(e.Total()/base))
@@ -527,45 +488,27 @@ func Fig20(o Options) ([]*stats.Table, error) {
 // Headline reports the paper's abstract-level claims: MIPS and energy
 // of the HAMS variants relative to mmap, averaged over all workloads.
 func Headline(o Options) (*stats.Table, error) {
+	wls := workload.Names()
+	res, err := runGrid(o, "headline", wls, fig17Plats, nil)
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Headline: HAMS vs software (mmap) NVDIMM design",
 		"platform", "avg MIPS ratio", "avg energy ratio", "avg NVDIMM hit rate")
-	plats := []string{"hams-LP", "hams-LE", "hams-TP", "hams-TE"}
-	type agg struct {
-		mips, energyR, hit float64
-		n                  int
-	}
-	sums := make(map[string]*agg)
-	for _, pn := range plats {
-		sums[pn] = &agg{}
-	}
-	for _, wl := range workload.Names() {
-		base, err := Run("mmap", wl, o, platform.Options{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, pn := range plats {
-			r, err := Run(pn, wl, o, platform.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
-			s := sums[pn]
+	for p := 1; p < len(fig17Plats); p++ {
+		var mips, energyR, hit float64
+		for w := range wls {
+			base, r := res[w][0], res[w][p]
 			if base.CPU.MIPS() > 0 {
-				s.mips += r.CPU.MIPS() / base.CPU.MIPS()
+				mips += r.CPU.MIPS() / base.CPU.MIPS()
 			}
 			if base.Energy.Total() > 0 {
-				s.energyR += r.Energy.Total() / base.Energy.Total()
+				energyR += r.Energy.Total() / base.Energy.Total()
 			}
-			s.hit += r.Plat.(hamsExposer).Controller().Stats().HitRate()
-			s.n++
+			hit += r.MoS.HitRate()
 		}
-	}
-	for _, pn := range plats {
-		s := sums[pn]
-		if s.n == 0 {
-			continue
-		}
-		n := float64(s.n)
-		t.AddRow(pn, stats.Ratio(s.mips/n), stats.Ratio(s.energyR/n), stats.Pct(s.hit/n))
+		n := float64(len(wls))
+		t.AddRow(fig17Plats[p], stats.Ratio(mips/n), stats.Ratio(energyR/n), stats.Pct(hit/n))
 	}
 	return t, nil
 }

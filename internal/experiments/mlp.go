@@ -94,9 +94,8 @@ func MLPSweep(o Options) ([]*stats.Table, error) {
 					HAMSNVDIMM:     mlpNVDIMM,
 					HAMSPRPSlots:   mlpPRPSlots,
 				},
-				wopt:     &wopt,
-				keepPlat: true, // the table reads controller stats
-				extra:    mlpExtra,
+				wopt:  &wopt,
+				extra: mlpExtra,
 			})
 		}
 	}
@@ -118,22 +117,17 @@ func MLPSweep(o Options) ([]*stats.Table, error) {
 			tabs = append(tabs, tab)
 		}
 		p := points[i%len(points)]
-		ctl := r.Plat.(hamsExposer).Controller()
-		cs := ctl.Stats()
+		cs := r.MoS
 		qdCap := "-"
 		if p.QueueDepth > 0 {
 			qdCap = fmt.Sprint(p.QueueDepth)
 		}
-		var avg float64
-		if cs.Accesses > 0 {
-			avg = float64(cs.TotalTime) / float64(cs.Accesses)
-		}
 		tab.AddRow(p.label(), fmt.Sprint(max(p.MSHRs, 1)), qdCap,
 			fmt.Sprintf("%.4f", cs.HitRate()),
-			fmt.Sprintf("%.0fns", avg),
+			fmt.Sprintf("%.0fns", avgAccessNanos(cs)),
 			fmt.Sprint(cs.WaitQ), fmt.Sprint(cs.MSHRStalls),
 			fmt.Sprint(cs.Coalesced), fmt.Sprint(cs.HitUnderMiss),
-			fmt.Sprint(ctl.PeakQueueDepth()),
+			fmt.Sprint(r.PeakQD),
 			fmt.Sprintf("%.0f", r.UnitsPerSec()))
 	}
 	return tabs, nil
@@ -142,10 +136,9 @@ func MLPSweep(o Options) ([]*stats.Table, error) {
 // mlpExtra records the sweep's pipeline metrics into the BENCH cell
 // so the CI gate tracks them alongside throughput.
 func mlpExtra(r RunResult) map[string]float64 {
-	ctl := r.Plat.(hamsExposer).Controller()
-	cs := ctl.Stats()
+	cs := r.MoS
 	extra := map[string]float64{
-		"peak_qd":        float64(ctl.PeakQueueDepth()),
+		"peak_qd":        float64(r.PeakQD),
 		"waitq":          float64(cs.WaitQ),
 		"mshr_stalls":    float64(cs.MSHRStalls),
 		"coalesced":      float64(cs.Coalesced),

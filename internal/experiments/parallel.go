@@ -87,44 +87,33 @@ func reportCellFor(target string, r runner.Result) report.Cell {
 	return c
 }
 
-// runReportCell extracts one Run's artifact metrics. It must be called
-// while the result still holds its platform (Plat carries the hit-rate
-// counters).
+// runReportCell extracts one Run's artifact metrics.
 func runReportCell(v RunResult) report.Cell {
-	c := report.Cell{
+	return report.Cell{
 		Platform:    v.Platform,
 		Workload:    v.Workload,
 		SimNS:       int64(v.CPU.Elapsed),
 		Units:       v.Units,
 		UnitsPerSec: v.UnitsPerSec(),
+		HitRate:     v.MoS.HitRate(),
 		EnergyJ:     v.Energy.Total(),
 	}
-	if h, ok := v.Plat.(hamsExposer); ok {
-		c.HitRate = h.Controller().Stats().HitRate()
-	}
-	return c
 }
 
 // matrixCell is the common cell shape: one Run of a workload on a
-// platform under a config. keepPlat retains the simulated platform on
-// the result for callers that read controller stats afterwards (the
-// sweep); all other cells drop it inside the worker so a wide matrix
-// doesn't hold every platform's device state until the figure renders.
+// platform under a config.
 type matrixCell struct {
 	key      string
 	platform string
 	workload string
 	popt     platform.Options
 	wopt     *workload.Options
-	keepPlat bool
 	// extra, when set, records target-specific metrics into the BENCH
-	// cell; it runs inside the worker while the platform is still
-	// attached to the result.
+	// cell.
 	extra func(RunResult) map[string]float64
 }
 
-// matrixOut pairs a cell's RunResult with its artifact record,
-// precomputed while the platform was still attached.
+// matrixOut pairs a cell's RunResult with its artifact record.
 type matrixOut struct {
 	run  RunResult
 	cell report.Cell
@@ -162,9 +151,6 @@ func runMatrix(o Options, target string, cells []matrixCell) ([]RunResult, error
 				if mc.extra != nil {
 					out.cell.Extra = mc.extra(r)
 				}
-				if !mc.keepPlat {
-					out.run.Plat = nil
-				}
 				return out, nil
 			},
 		}
@@ -182,6 +168,34 @@ func runMatrix(o Options, target string, cells []matrixCell) ([]RunResult, error
 		out[i] = mo.run
 	}
 	return out, nil
+}
+
+// runGrid runs every workload on every column as one matrix cell
+// keyed "<workload>/<column>" and returns the results row by row:
+// res[w][c] is workload w on column c. A column names a platform run
+// with default options, unless colPlatform maps it to a platform and
+// options of its own (fig6's columns are the SSDs behind mmap).
+func runGrid(o Options, target string, wls, cols []string,
+	colPlatform func(col string) (string, platform.Options)) ([][]RunResult, error) {
+	var cells []matrixCell
+	for _, wl := range wls {
+		for _, col := range cols {
+			pn, popt := col, platform.Options{}
+			if colPlatform != nil {
+				pn, popt = colPlatform(col)
+			}
+			cells = append(cells, matrixCell{key: wl + "/" + col, platform: pn, workload: wl, popt: popt})
+		}
+	}
+	res, err := runMatrix(o, target, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]RunResult, len(wls))
+	for w := range rows {
+		rows[w] = res[w*len(cols) : (w+1)*len(cols)]
+	}
+	return rows, nil
 }
 
 // RunOne executes a single workload × platform run as one engine cell
@@ -202,9 +216,7 @@ func RunOne(o Options, platName, wlName string, popt platform.Options) (RunResul
 			if err != nil {
 				return nil, err
 			}
-			out := matrixOut{run: r, cell: runReportCell(r)}
-			out.run.Plat = nil
-			return out, nil
+			return matrixOut{run: r, cell: runReportCell(r)}, nil
 		},
 	}}
 	vals, err := runCellJobs(o, "run", jobs)

@@ -3,13 +3,15 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"hams/internal/report"
 )
 
-// renderAll runs every engine-ported target and concatenates the
+// renderAll runs a cross-section of the targets and concatenates the
 // rendered tables — the byte stream the determinism contract covers.
 func renderAll(t *testing.T, o Options) string {
 	t.Helper()
@@ -19,6 +21,14 @@ func renderAll(t *testing.T, o Options) string {
 		t.Fatal(err)
 	}
 	f5, err := Fig5(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f10, err := Fig10(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f18, err := Fig18(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +62,8 @@ func renderAll(t *testing.T, o Options) string {
 	for _, tb := range f5 {
 		b.WriteString(tb.String())
 	}
+	b.WriteString(f10.String())
+	b.WriteString(f18.String())
 	for _, tb := range f20 {
 		b.WriteString(tb.String())
 	}
@@ -138,6 +150,39 @@ func TestFigureCancellation(t *testing.T) {
 	}
 	if _, err := AssocShardSweep(o); err == nil {
 		t.Fatal("cancelled sweep returned no error")
+	}
+	if _, err := Fig17(o); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Fig17: err = %v, want context.Canceled", err)
+	}
+}
+
+// Every matrix cell takes its seed from (Options.Seed, workload), so a
+// (workload, platform) point measures the same run in every target
+// that has it: each Fig10 cell equals Fig16's hams-LE cell for its
+// workload in every field but identity and host cost.
+func TestFig10CellsMatchFig16(t *testing.T) {
+	record := func(fig func(Options) error) map[string]report.Cell {
+		o := tiny
+		o.Recorder = &report.Recorder{}
+		if err := fig(o); err != nil {
+			t.Fatal(err)
+		}
+		by := make(map[string]report.Cell)
+		for _, c := range report.CanonicalCells(o.Recorder.Cells()) {
+			c.Key, c.Target = "", ""
+			by[c.Workload+"@"+c.Platform] = c
+		}
+		return by
+	}
+	f10 := record(func(o Options) error { _, err := Fig10(o); return err })
+	f16 := record(func(o Options) error { _, err := Fig16(o); return err })
+	if len(f10) != len(fig7Workloads) {
+		t.Fatalf("fig10 recorded %d cells, want %d", len(f10), len(fig7Workloads))
+	}
+	for id, c := range f10 {
+		if want, ok := f16[id]; !ok || !reflect.DeepEqual(c, want) {
+			t.Fatalf("fig10 cell %s:\n%+v\nfig16 has\n%+v", id, c, want)
+		}
 	}
 }
 

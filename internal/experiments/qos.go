@@ -322,15 +322,7 @@ func qosCell(o Options, v qosVariant, seed int64) (qosOut, error) {
 		variant: v.name,
 		auto:    v.slo != nil,
 		rep:     rep,
-		cell: report.Cell{
-			Platform:    rep.Platform,
-			Scenario:    qosScenario + "/" + v.name,
-			SimNS:       int64(rep.CPU.Elapsed),
-			Units:       rep.Units,
-			UnitsPerSec: rep.UnitsPerSec(),
-			EnergyJ:     rep.Energy.Total(),
-			Extra:       extra,
-		},
+		cell:    scenarioCell(rep, qosScenario+"/"+v.name, extra),
 	}, nil
 }
 

@@ -236,19 +236,7 @@ func sampledSplitCell(o Options, seed int64) (sampledOut, error) {
 		extra["accesses:"+ten.Name] = float64(ten.Accesses)
 		extra["units:"+ten.Name] = float64(ten.Units)
 	}
-	return sampledOut{
-		kind: "split",
-		rep:  rep,
-		cell: report.Cell{
-			Platform:    rep.Platform,
-			Scenario:    sampledScenario + "/split",
-			SimNS:       int64(rep.CPU.Elapsed),
-			Units:       rep.Units,
-			UnitsPerSec: rep.UnitsPerSec(),
-			EnergyJ:     rep.Energy.Total(),
-			Extra:       extra,
-		},
-	}, nil
+	return sampledOut{kind: "split", rep: rep, cell: scenarioCell(rep, sampledScenario+"/split", extra)}, nil
 }
 
 // SampledCheckpoint runs the sampled scenario's warm-up phase once at
@@ -341,15 +329,7 @@ func sampledFanoutCell(o Options, seed int64) (sampledOut, error) {
 		rep:      rep,
 		liveWall: liveWall,
 		fanWall:  fanWall,
-		cell: report.Cell{
-			Platform:    rep.Platform,
-			Scenario:    sampledScenario + "/fanout",
-			SimNS:       int64(rep.CPU.Elapsed),
-			Units:       rep.Units,
-			UnitsPerSec: rep.UnitsPerSec(),
-			EnergyJ:     rep.Energy.Total(),
-			Extra:       extra,
-		},
+		cell:     scenarioCell(rep, sampledScenario+"/fanout", extra),
 	}, nil
 }
 

@@ -124,22 +124,27 @@ func replayCell(o Options, platName, wlName string, seed int64) (replayOut, erro
 			platName, wlName, live.Energy.Total(), rep.Energy.Total())
 	}
 	ten := rep.Tenants[0]
-	return replayOut{
-		platform: platName, workload: wlName, steps: steps, rep: rep,
-		cell: report.Cell{
-			Platform:    platName,
-			Workload:    wlName,
-			SimNS:       int64(rep.CPU.Elapsed),
-			Units:       rep.Units,
-			UnitsPerSec: rep.UnitsPerSec(),
-			EnergyJ:     rep.Energy.Total(),
-			Extra: map[string]float64{
-				"p50_ns": float64(ten.P50),
-				"p95_ns": float64(ten.P95),
-				"p99_ns": float64(ten.P99),
-			},
-		},
-	}, nil
+	cell := scenarioCell(rep, "", map[string]float64{
+		"p50_ns": float64(ten.P50),
+		"p95_ns": float64(ten.P95),
+		"p99_ns": float64(ten.P99),
+	})
+	cell.Workload = wlName
+	return replayOut{platform: platName, workload: wlName, steps: steps, rep: rep, cell: cell}, nil
+}
+
+// scenarioCell is the artifact record of one replay.Run result under
+// the given scenario label.
+func scenarioCell(rep replay.Result, scenario string, extra map[string]float64) report.Cell {
+	return report.Cell{
+		Platform:    rep.Platform,
+		Scenario:    scenario,
+		SimNS:       int64(rep.CPU.Elapsed),
+		Units:       rep.Units,
+		UnitsPerSec: rep.UnitsPerSec(),
+		EnergyJ:     rep.Energy.Total(),
+		Extra:       extra,
+	}
 }
 
 // DefaultScenarios are the built-in multi-tenant mixes of the `mixed`
@@ -247,16 +252,5 @@ func mixedCell(o Options, sc replay.Scenario, seed int64) (mixedOut, error) {
 		extra["p99_ns:"+ten.Name] = float64(ten.P99)
 		extra["units:"+ten.Name] = float64(ten.Units)
 	}
-	return mixedOut{
-		rep: rep,
-		cell: report.Cell{
-			Platform:    rep.Platform,
-			Scenario:    rep.Scenario,
-			SimNS:       int64(rep.CPU.Elapsed),
-			Units:       rep.Units,
-			UnitsPerSec: rep.UnitsPerSec(),
-			EnergyJ:     rep.Energy.Total(),
-			Extra:       extra,
-		},
-	}, nil
+	return mixedOut{rep: rep, cell: scenarioCell(rep, rep.Scenario, extra)}, nil
 }

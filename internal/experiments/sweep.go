@@ -44,18 +44,20 @@ type SweepResult struct {
 	Workload string
 	Point    SweepPoint
 	Run      RunResult
-	Core     core.Stats
 }
 
 // HitRate returns the MoS tag-array hit rate of the run.
-func (r SweepResult) HitRate() float64 { return r.Core.HitRate() }
+func (r SweepResult) HitRate() float64 { return r.Run.MoS.HitRate() }
 
 // AvgAccessNanos returns the mean controller access latency in ns.
-func (r SweepResult) AvgAccessNanos() float64 {
-	if r.Core.Accesses == 0 {
+func (r SweepResult) AvgAccessNanos() float64 { return avgAccessNanos(r.Run.MoS) }
+
+// avgAccessNanos is the mean controller access latency in ns.
+func avgAccessNanos(cs core.Stats) float64 {
+	if cs.Accesses == 0 {
 		return 0
 	}
-	return float64(r.Core.TotalTime) / float64(r.Core.Accesses)
+	return float64(cs.TotalTime) / float64(cs.Accesses)
 }
 
 // AssocShardSweep runs the associativity × shard grid on the random
@@ -84,8 +86,8 @@ func AssocShardSweep(o Options) ([]*stats.Table, error) {
 			r.Point.Policy.String(),
 			fmt.Sprintf("%.4f", r.HitRate()),
 			fmt.Sprintf("%.0fns", r.AvgAccessNanos()),
-			fmt.Sprint(r.Core.WaitQ),
-			fmt.Sprint(r.Core.Evictions),
+			fmt.Sprint(r.Run.MoS.WaitQ),
+			fmt.Sprint(r.Run.MoS.Evictions),
 			fmt.Sprintf("%.0f", r.Run.UnitsPerSec()))
 	}
 	return tabs, nil
@@ -106,7 +108,6 @@ func RunSweep(o Options, workloads []string, points []SweepPoint) ([]SweepResult
 					HAMSBanks:  p.Banks,
 					HAMSPolicy: p.Policy,
 				},
-				keepPlat: true, // SweepResult reads controller stats
 			})
 		}
 	}
@@ -120,7 +121,6 @@ func RunSweep(o Options, workloads []string, points []SweepPoint) ([]SweepResult
 			Workload: workloads[i/len(points)],
 			Point:    points[i%len(points)],
 			Run:      r,
-			Core:     r.Plat.(hamsExposer).Controller().Stats(),
 		})
 	}
 	return out, nil

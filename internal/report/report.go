@@ -77,13 +77,7 @@ func (a Artifact) Canonical() Artifact {
 	a.Created = time.Time{}
 	a.GitRev = ""
 	a.Workers = 0
-	cells := make([]Cell, len(a.Cells))
-	copy(cells, a.Cells)
-	for i := range cells {
-		cells[i].WallNS = 0
-		cells[i].HostUnitsPerSec = 0
-	}
-	a.Cells = cells
+	a.Cells = CanonicalCells(a.Cells)
 	return a
 }
 
@@ -238,36 +232,10 @@ type Delta struct {
 // Comparing different scales, seeds, or schema versions is an error —
 // the throughputs would not be commensurable.
 func Deltas(base, cur Artifact) ([]Delta, error) {
-	if base.Schema != cur.Schema {
-		return nil, fmt.Errorf("report: schema mismatch: base v%d vs new v%d", base.Schema, cur.Schema)
+	if err := commensurable(base, cur); err != nil {
+		return nil, err
 	}
-	if base.Scale != cur.Scale || base.Seed != cur.Seed {
-		return nil, fmt.Errorf("report: incomparable artifacts: base scale=%g seed=%d vs new scale=%g seed=%d",
-			base.Scale, base.Seed, cur.Scale, cur.Seed)
-	}
-	curBy := make(map[string]Cell, len(cur.Cells))
-	for _, c := range cur.Cells {
-		curBy[c.Key] = c
-	}
-	var ds []Delta
-	for _, b := range base.Cells {
-		if b.UnitsPerSec <= 0 {
-			continue
-		}
-		c, ok := curBy[b.Key]
-		if !ok {
-			ds = append(ds, Delta{Key: b.Key, Base: b.UnitsPerSec, Missing: true})
-			continue
-		}
-		ds = append(ds, Delta{
-			Key:  b.Key,
-			Base: b.UnitsPerSec,
-			New:  c.UnitsPerSec,
-			Drop: (b.UnitsPerSec - c.UnitsPerSec) / b.UnitsPerSec,
-		})
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].Key < ds[j].Key })
-	return ds, nil
+	return diff(base, cur, func(c Cell) float64 { return c.UnitsPerSec }, false), nil
 }
 
 // HostDeltas diffs the host-side throughput channel (wall-clock
@@ -278,39 +246,57 @@ func Deltas(base, cur Artifact) ([]Delta, error) {
 // artifacts — both runs serial (Workers <= 1), since wall times
 // measured under parallel workers are contended and incomparable.
 func HostDeltas(base, cur Artifact) ([]Delta, error) {
-	if base.Schema != cur.Schema {
-		return nil, fmt.Errorf("report: schema mismatch: base v%d vs new v%d", base.Schema, cur.Schema)
-	}
-	if base.Scale != cur.Scale || base.Seed != cur.Seed {
-		return nil, fmt.Errorf("report: incomparable artifacts: base scale=%g seed=%d vs new scale=%g seed=%d",
-			base.Scale, base.Seed, cur.Scale, cur.Seed)
+	if err := commensurable(base, cur); err != nil {
+		return nil, err
 	}
 	if base.Workers != 1 || cur.Workers != 1 {
 		return nil, fmt.Errorf("report: host-throughput gate needs serial artifacts (-parallel 1): base workers=%d, new workers=%d",
 			base.Workers, cur.Workers)
 	}
+	return diff(base, cur, func(c Cell) float64 { return c.HostUnitsPerSec }, true), nil
+}
+
+// commensurable rejects a pair of artifacts whose readings cannot be
+// compared: different schema versions, scales or seeds.
+func commensurable(base, cur Artifact) error {
+	if base.Schema != cur.Schema {
+		return fmt.Errorf("report: schema mismatch: base v%d vs new v%d", base.Schema, cur.Schema)
+	}
+	if base.Scale != cur.Scale || base.Seed != cur.Seed {
+		return fmt.Errorf("report: incomparable artifacts: base scale=%g seed=%d vs new scale=%g seed=%d",
+			base.Scale, base.Seed, cur.Scale, cur.Seed)
+	}
+	return nil
+}
+
+// diff matches every baseline cell with a positive metric reading
+// against cur by key and returns the rows sorted by key. A baseline
+// cell missing from cur is flagged Missing, unless skipUnread is set:
+// then cells that cur lacks or reads no metric for are skipped.
+func diff(base, cur Artifact, metric func(Cell) float64, skipUnread bool) []Delta {
 	curBy := make(map[string]Cell, len(cur.Cells))
 	for _, c := range cur.Cells {
 		curBy[c.Key] = c
 	}
 	var ds []Delta
 	for _, b := range base.Cells {
-		if b.HostUnitsPerSec <= 0 {
+		bv := metric(b)
+		if bv <= 0 {
 			continue
 		}
 		c, ok := curBy[b.Key]
-		if !ok || c.HostUnitsPerSec <= 0 {
+		if skipUnread && metric(c) <= 0 {
 			continue
 		}
-		ds = append(ds, Delta{
-			Key:  b.Key,
-			Base: b.HostUnitsPerSec,
-			New:  c.HostUnitsPerSec,
-			Drop: (b.HostUnitsPerSec - c.HostUnitsPerSec) / b.HostUnitsPerSec,
-		})
+		if !ok {
+			ds = append(ds, Delta{Key: b.Key, Base: bv, Missing: true})
+			continue
+		}
+		cv := metric(c)
+		ds = append(ds, Delta{Key: b.Key, Base: bv, New: cv, Drop: (bv - cv) / bv})
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i].Key < ds[j].Key })
-	return ds, nil
+	return ds
 }
 
 // SetDiff reports how two artifacts' cell-key sets diverge: keys

@@ -11,16 +11,18 @@ import (
 
 // Pool is a long-lived worker pool shared by many concurrent cell
 // batches — the daemon-side counterpart of Engine, which spins up a
-// fresh pool per Run call. hamsd submits every job's cells through one
-// Pool so N simultaneous clients multiplex onto a fixed number of
-// simulator workers instead of oversubscribing the host N-fold.
+// short-lived Pool per Run call. hamsd submits every job's cells
+// through one Pool so N simultaneous clients multiplex onto a fixed
+// number of simulator workers instead of oversubscribing the host
+// N-fold.
 //
 // The determinism contract is inherited from the package: a cell's
 // output is a pure function of its inputs, so sharing workers across
 // batches cannot change any batch's results — only their wall times.
-// Each RunCells call keeps Engine's batch semantics (duplicate-key
-// rejection, canonical-order results, first error cancels the batch's
-// remaining undispatched cells, a cancelled ctx stops dispatch);
+// Each RunCells call has the batch semantics Engine documents
+// (duplicate-key rejection, canonical-order results, first error
+// cancels the batch's remaining undispatched cells, a cancelled ctx
+// stops dispatch);
 // batches are isolated: one batch's error or cancellation never
 // affects another's cells.
 type Pool struct {
@@ -51,7 +53,6 @@ func NewPool(workers int) *Pool {
 				p.busy.Add(1)
 				run()
 				p.busy.Add(-1)
-				p.done.Add(1)
 			}
 		}()
 	}
@@ -75,6 +76,13 @@ func (p *Pool) Completed() int64 { return p.done.Load() }
 // cell on completion (see CellRunner). Calling RunCells on a closed
 // pool is an error.
 func (p *Pool) RunCells(ctx context.Context, cells []Cell, onResult func(Result)) ([]Result, error) {
+	return p.runCells(ctx, cells, nil, onResult)
+}
+
+// runCells is RunCells dispatching cells in the given order of
+// indices into cells (nil = input order); results stay in input
+// order.
+func (p *Pool) runCells(ctx context.Context, cells []Cell, order []int, onResult func(Result)) ([]Result, error) {
 	if len(cells) == 0 {
 		return nil, nil
 	}
@@ -101,20 +109,26 @@ func (p *Pool) RunCells(ctx context.Context, cells []Cell, onResult func(Result)
 	var once sync.Once
 	var firstErr error
 dispatch:
-	for i := range cells {
-		// Poll ctx before offering the cell (same rationale as
-		// Engine.Run: select picks randomly among ready cases, so a
-		// cancelled context could keep losing the coin flip against an
-		// idle worker and leak extra dispatches).
+	for k := range cells {
+		// Poll ctx before offering the cell: select picks randomly
+		// among ready cases, so a cancelled context could keep losing
+		// the coin flip against an idle worker and leak extra
+		// dispatches.
 		select {
 		case <-ctx.Done():
 			break dispatch
 		default:
 		}
-		i := i
+		i := k
+		if order != nil {
+			i = order[k]
+		}
 		pending.Add(1)
 		run := func() {
 			defer pending.Done()
+			// Counted before pending.Done (defers run last-in first-out),
+			// so Completed includes every cell of a batch that returned.
+			defer p.done.Add(1)
 			c := cells[i]
 			start := time.Now()
 			v, err := c.Fn(ctx)

@@ -15,12 +15,10 @@ package runner
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 )
 
@@ -73,85 +71,24 @@ func (e Engine) Run(ctx context.Context, cells []Cell) ([]Result, error) {
 	return e.RunCells(ctx, cells, nil)
 }
 
-// RunCells is Run with a per-cell completion hook (see CellRunner).
+// RunCells is Run with a per-cell completion hook (see CellRunner). It
+// runs the batch on a Pool of its own, sized to the batch, that lives
+// only for this call.
 func (e Engine) RunCells(ctx context.Context, cells []Cell, onResult func(Result)) ([]Result, error) {
 	if len(cells) == 0 {
 		return nil, nil
-	}
-	seen := make(map[string]struct{}, len(cells))
-	for _, c := range cells {
-		if _, dup := seen[c.Key]; dup {
-			return nil, fmt.Errorf("runner: duplicate cell key %q", c.Key)
-		}
-		seen[c.Key] = struct{}{}
 	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
-	}
+	var order []int
 	if e.ShuffleSeed != 0 {
-		rng := rand.New(rand.NewSource(e.ShuffleSeed))
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		order = rand.New(rand.NewSource(e.ShuffleSeed)).Perm(len(cells))
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make([]Result, len(cells))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var once sync.Once
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				c := cells[i]
-				start := time.Now()
-				v, err := c.Fn(ctx)
-				results[i] = Result{Key: c.Key, Value: v, Wall: time.Since(start), Err: err}
-				if err != nil {
-					once.Do(func() { firstErr = err; cancel() })
-				}
-				if onResult != nil {
-					onResult(results[i])
-				}
-			}
-		}()
-	}
-dispatch:
-	for _, i := range order {
-		// Poll ctx before offering the cell: select chooses randomly
-		// among ready cases, so without this a cancelled context could
-		// keep losing the coin flip against a ready worker and leak
-		// extra dispatches.
-		select {
-		case <-ctx.Done():
-			break dispatch
-		default:
-		}
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return results, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, nil
+	p := NewPool(min(workers, len(cells)))
+	defer p.Close()
+	return p.runCells(ctx, cells, order, onResult)
 }
 
 // DeriveSeed maps (base seed, stable cell identity) to a per-cell
