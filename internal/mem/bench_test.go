@@ -101,18 +101,3 @@ func BenchmarkPageLRUEvictInsert(b *testing.B) {
 		l.InsertFront(page)
 	}
 }
-
-// TestPageLRUGrowReservesSlots pins Grow's contract: n inserts after
-// Grow(n) land in the reserved slot arrays instead of reallocating.
-func TestPageLRUGrowReservesSlots(t *testing.T) {
-	l := NewPageLRU()
-	l.InsertFront(0)
-	l.Grow(1000)
-	first := &l.pages[0]
-	for p := uint64(1); p <= 1000; p++ {
-		l.InsertFront(p)
-	}
-	if &l.pages[0] != first || l.Len() != 1001 {
-		t.Fatal("slot arrays reallocated despite Grow")
-	}
-}

@@ -68,19 +68,19 @@ func (s *SparseStore) RestoreState(d *checkpoint.Dec) error {
 }
 
 // SaveState serializes the recency structure: the slot arrays, list
-// heads and free list. The radix index is derivable (it maps pages
-// back to live slots), so it is rebuilt on restore rather than
-// serialized.
+// heads and free list, with the entries of computed chunks written out
+// as values. The radix index is derivable (it maps pages back to live
+// slots), so it is rebuilt on restore rather than serialized.
 func (l *PageLRU) SaveState(enc *checkpoint.Enc) {
-	enc.Count(len(l.pages))
-	for _, p := range l.pages {
-		enc.U64(p)
+	enc.Count(l.Slots())
+	for s := range l.nslots {
+		enc.U64(l.PageOf(s))
 	}
-	for _, v := range l.prev {
-		enc.I64(int64(v))
+	for s := range l.nslots {
+		enc.I64(int64(l.PrevOf(s)))
 	}
-	for _, v := range l.next {
-		enc.I64(int64(v))
+	for s := range l.nslots {
+		enc.I64(int64(l.nextOf(s)))
 	}
 	enc.I64(int64(l.head))
 	enc.I64(int64(l.tail))
@@ -91,25 +91,33 @@ func (l *PageLRU) SaveState(enc *checkpoint.Enc) {
 	enc.Count(l.n)
 }
 
-// RestoreState overlays the recency structure and rebuilds the radix
-// index from the live slots. The slot count is bounded by the bytes
-// remaining (each slot costs 24 wire bytes across the three arrays).
+// RestoreState replaces the recency structure with the image's, every
+// chunk stored and no runs, and rebuilds the radix index from the live
+// slots. The slot count is bounded by the bytes remaining (each slot
+// costs 24 wire bytes across the three arrays). The list must be one
+// the index could have built — a corrupt link would otherwise restore
+// cleanly and crash the first insert or eviction.
 func (l *PageLRU) RestoreState(d *checkpoint.Dec) error {
 	slots := d.CountSized(24)
 	if err := d.Err(); err != nil {
 		return err
 	}
-	l.pages = make([]uint64, slots)
-	l.prev = make([]int32, slots)
-	l.next = make([]int32, slots)
-	for i := range l.pages {
-		l.pages[i] = d.U64()
+	*l = PageLRU{
+		chunks: l.chunks[:0],
+		slots:  make([]lruSlots, (slots+lruSlotMask)>>lruSlotBits),
+		nslots: int32(slots),
 	}
-	for i := range l.prev {
-		l.prev[i] = int32(d.I64())
+	for k := range l.slots {
+		l.slots[k].e = new(lruEntries)
 	}
-	for i := range l.next {
-		l.next[i] = int32(d.I64())
+	for s := range l.nslots {
+		l.slots[s>>lruSlotBits].e.pages[s&lruSlotMask] = d.U64()
+	}
+	for s := range l.nslots {
+		l.slots[s>>lruSlotBits].e.prev[s&lruSlotMask] = int32(d.I64())
+	}
+	for s := range l.nslots {
+		l.slots[s>>lruSlotBits].e.next[s&lruSlotMask] = int32(d.I64())
 	}
 	l.head = int32(d.I64())
 	l.tail = int32(d.I64())
@@ -122,24 +130,60 @@ func (l *PageLRU) RestoreState(d *checkpoint.Dec) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	isFree := make([]bool, slots)
+	return l.checkList()
+}
+
+// checkList verifies a restored list and indexes its live slots: the
+// free slots are distinct and, with the n live ones, fill the slot
+// space; walking from the tail toward the front visits exactly the n
+// live slots, each once, with next the inverse of prev, and ends at
+// the head; and no page is live twice.
+func (l *PageLRU) checkList() error {
+	const (
+		live = iota
+		free
+		seen
+	)
+	state := make([]uint8, l.nslots)
 	for _, f := range l.free {
-		if int(f) >= slots || f < 0 {
-			return fmt.Errorf("%w: free slot %d out of range", checkpoint.ErrCorrupt, f)
+		if f < 0 || f >= l.nslots || state[f] != live {
+			return fmt.Errorf("%w: free slot %d out of range or repeated", checkpoint.ErrCorrupt, f)
 		}
-		isFree[f] = true
+		state[f] = free
 	}
-	l.chunks = l.chunks[:0]
-	for slot := 0; slot < slots; slot++ {
-		if !isFree[slot] {
-			// Cap the page number so a hostile image cannot force the
-			// radix spine to balloon (1<<32 pages covers every page
-			// space the simulator indexes).
-			if l.pages[slot] >= 1<<32 {
-				return fmt.Errorf("%w: page %d exceeds limit", checkpoint.ErrCorrupt, l.pages[slot])
-			}
-			l.index(l.pages[slot], int32(slot)+1)
+	if l.n+len(l.free) != int(l.nslots) {
+		return fmt.Errorf("%w: %d live and %d free slots in a space of %d", checkpoint.ErrCorrupt, l.n, len(l.free), l.nslots)
+	}
+	older, count := int32(-1), 0
+	for s := l.tail; s != -1; s = l.PrevOf(s) {
+		if count == l.n || s < 0 || s >= l.nslots || state[s] != live {
+			return fmt.Errorf("%w: recency list reaches slot %d after %d of %d live slots", checkpoint.ErrCorrupt, s, count, l.n)
 		}
+		if l.nextOf(s) != older {
+			return fmt.Errorf("%w: slot %d links back to %d, not %d", checkpoint.ErrCorrupt, s, l.nextOf(s), older)
+		}
+		state[s] = seen
+		older = s
+		count++
+	}
+	if count != l.n || older != l.head {
+		return fmt.Errorf("%w: recency list ends at slot %d after %d slots, head %d of %d", checkpoint.ErrCorrupt, older, count, l.head, l.n)
+	}
+	for s := range l.nslots {
+		if state[s] != seen {
+			continue
+		}
+		// Cap the page number so a hostile image cannot force the
+		// radix spine to balloon (1<<32 pages covers every page
+		// space the simulator indexes).
+		page := l.PageOf(s)
+		if page >= 1<<32 {
+			return fmt.Errorf("%w: page %d exceeds limit", checkpoint.ErrCorrupt, page)
+		}
+		if _, dup := l.Get(page); dup {
+			return fmt.Errorf("%w: page %d live twice", checkpoint.ErrCorrupt, page)
+		}
+		l.indexChunk(page >> lruChunkBits)[page&lruChunkMask] = s + 1
 	}
 	return nil
 }

@@ -8,8 +8,6 @@
 package osmodel
 
 import (
-	"slices"
-
 	"hams/internal/dram"
 	"hams/internal/mem"
 	"hams/internal/pcie"
@@ -99,7 +97,8 @@ type Stats struct {
 }
 
 // MMF is the memory-mapped-file system model. The page cache is a
-// flat LRU (mem.PageLRU) with a slot-indexed dirty bit and a FIFO
+// mem.PageLRU (chunked slots; a warmed range is one run, stored as
+// pages are touched) with a slot-indexed dirty bit and a FIFO
 // dirty queue: msync walks only the pages dirtied since the last
 // flush — in first-dirtied order, which is deterministic — instead of
 // scanning the whole multi-million-entry cache.
@@ -150,18 +149,13 @@ func (m *MMF) Stats() Stats { return m.stats }
 
 // Warm inserts the OS pages covering [base, base+size) into the page
 // cache without charging time (steady-state pre-warm; see core.Warm).
+// Warmed pages are clean: new slots start clean, and insert clears a
+// victim's dirty bit before its slot is recycled.
 func (m *MMF) Warm(base, size uint64) {
-	end := base + size
-	pages := (end+m.cfg.OSPageBytes-1)/m.cfg.OSPageBytes - base/m.cfg.OSPageBytes
-	if n := min(m.cfg.CachePages-m.cache.Len(), int(pages)); n > 0 {
-		m.cache.Grow(n)
-		m.dirty = slices.Grow(m.dirty, n)
-	}
-	for addr := mem.AlignDown(base, m.cfg.OSPageBytes); addr < end; addr += m.cfg.OSPageBytes {
-		if m.cache.Len() >= m.cfg.CachePages {
-			return
-		}
-		m.insert(addr / m.cfg.OSPageBytes)
+	pb := m.cfg.OSPageBytes
+	m.cache.Warm(base/pb, (base+size+pb-1)/pb, m.cfg.CachePages)
+	if n := m.cache.Slots() - len(m.dirty); n > 0 {
+		m.dirty = append(m.dirty, make([]bool, n)...)
 	}
 }
 

@@ -1,8 +1,6 @@
 package platform
 
 import (
-	"slices"
-
 	"hams/internal/cpu"
 	"hams/internal/dram"
 	"hams/internal/energy"
@@ -24,9 +22,9 @@ var (
 // dramCache: a page-granular LRU DRAM cache used by optane-M,
 // flatflash-M and nvdimm-C. Backed by a real DDR4 timing model; the
 // backend fetches/evicts pages on the slow side. The residency index
-// is a flat mem.PageLRU with a slot-indexed dirty bit — note that, as
-// in the seed, plain residency probes do not touch recency; only
-// insert() refreshes it.
+// is a mem.PageLRU (chunked slots; a warmed range is one run) with a
+// slot-indexed dirty bit — note that, as in the seed, plain residency
+// probes do not touch recency; only insert() refreshes it.
 
 type dramCache struct {
 	d         *dram.DDR4
@@ -76,18 +74,12 @@ func (c *dramCache) shouldPromote(addr uint64) bool {
 }
 
 // warm fills the cache with the pages of [base, base+size) untimed.
+// Warmed pages are clean: new slots start clean, and insert clears a
+// victim's dirty bit before its slot is recycled.
 func (c *dramCache) warm(base, size uint64) {
-	end := base + size
-	pages := (end+c.pageBytes-1)/c.pageBytes - base/c.pageBytes
-	if n := min(c.capPages-c.lru.Len(), int(pages)); n > 0 {
-		c.lru.Grow(n)
-		c.dirty = slices.Grow(c.dirty, n)
-	}
-	for addr := base / c.pageBytes * c.pageBytes; addr < end; addr += c.pageBytes {
-		if c.lru.Len() >= c.capPages {
-			return
-		}
-		c.insert(addr/c.pageBytes, false)
+	c.lru.Warm(base/c.pageBytes, (base+size+c.pageBytes-1)/c.pageBytes, c.capPages)
+	if n := c.lru.Slots() - len(c.dirty); n > 0 {
+		c.dirty = append(c.dirty, make([]bool, n)...)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"hams/internal/sim"
 )
 
-func mk(t *testing.T, name string) Platform {
+func mk(t testing.TB, name string) Platform {
 	t.Helper()
 	p, err := New(name, Options{})
 	if err != nil {

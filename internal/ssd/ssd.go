@@ -115,11 +115,12 @@ type Stats struct {
 	BufferResident int
 }
 
-// Device is one SSD. The internal DRAM buffer is a flat LRU
-// (mem.PageLRU) with slot-owned page buffers: inserts copy into the
-// slot's buffer and evictions recycle it, so steady-state buffer
-// traffic allocates nothing. Entries store variable-length data (a
-// 64 B write replaces whatever the slot held), tracked in bufLen.
+// Device is one SSD. The internal DRAM buffer is a mem.PageLRU
+// (chunked slot arrays, never warmed) with slot-owned page buffers:
+// inserts copy into the slot's buffer and evictions recycle it, so
+// steady-state buffer traffic allocates nothing. Entries store
+// variable-length data (a 64 B write replaces whatever the slot held),
+// tracked in bufLen.
 type Device struct {
 	cfg Config
 	arr *flash.Array

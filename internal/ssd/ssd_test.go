@@ -2,12 +2,15 @@ package ssd
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"hams/internal/checkpoint"
 	"hams/internal/flash"
 	"hams/internal/ftl"
+	"hams/internal/mem"
 	"hams/internal/sim"
 )
 
@@ -228,5 +231,124 @@ func TestBufferFTLCoherenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// lruImage is a saved buffer LRU (mem.PageLRU.SaveState) in decoded
+// form, so a test can corrupt single fields.
+type lruImage struct {
+	pages            []uint64
+	prev, next, free []int64
+	head, tail       int64
+	n                uint64
+}
+
+func decodeLRUImage(t *testing.T, b []byte) lruImage {
+	t.Helper()
+	d := checkpoint.NewDec(b)
+	slots := d.CountSized(24)
+	im := lruImage{pages: make([]uint64, slots), prev: make([]int64, slots), next: make([]int64, slots)}
+	for i := range im.pages {
+		im.pages[i] = d.U64()
+	}
+	for i := range im.prev {
+		im.prev[i] = d.I64()
+	}
+	for i := range im.next {
+		im.next[i] = d.I64()
+	}
+	im.head, im.tail = d.I64(), d.I64()
+	im.free = make([]int64, d.Count(slots))
+	for i := range im.free {
+		im.free[i] = d.I64()
+	}
+	im.n = d.U64()
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
+func (im lruImage) encode() []byte {
+	var e checkpoint.Enc
+	e.Count(len(im.pages))
+	for _, p := range im.pages {
+		e.U64(p)
+	}
+	for _, v := range im.prev {
+		e.I64(v)
+	}
+	for _, v := range im.next {
+		e.I64(v)
+	}
+	e.I64(im.head)
+	e.I64(im.tail)
+	e.Count(len(im.free))
+	for _, v := range im.free {
+		e.I64(v)
+	}
+	e.U64(im.n)
+	return e.Bytes()
+}
+
+// TestBufferRestoreRejectsCorruptList corrupts the recency list of a
+// saved 4-slot buffer one field at a time. Restore must refuse each
+// image with ErrCorrupt: a list it accepted is one the next insert or
+// eviction could index out of range on.
+func TestBufferRestoreRejectsCorruptList(t *testing.T) {
+	d := New(tinyCfg(4))
+	var now sim.Time
+	for lba := uint64(0); lba < 6; lba++ {
+		done, err := d.Write(now, lba, []byte{byte(lba)}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+	}
+	d.Trim(3)
+	d.Trim(5)
+	var enc checkpoint.Enc
+	d.buf.SaveState(&enc)
+	saved := enc.Bytes()
+
+	im := decodeLRUImage(t, saved)
+	if im.n != 2 || len(im.free) != 2 || im.head == im.tail {
+		t.Fatalf("buffer holds %d live and %d free slots, want 2 and 2", im.n, len(im.free))
+	}
+	head, tail, free := im.head, im.tail, im.free[0]
+	for _, c := range []struct {
+		name string
+		mut  func(*lruImage)
+	}{
+		{"head out of range", func(im *lruImage) { im.head = 1 << 20 }},
+		{"prev out of range", func(im *lruImage) { im.prev[tail] = 7 }},
+		{"prev below -1", func(im *lruImage) { im.prev[tail] = -2 }},
+		{"head is free", func(im *lruImage) { im.head = free }},
+		{"tail is free", func(im *lruImage) { im.tail = free }},
+		{"walk ends before head", func(im *lruImage) { im.head = tail }},
+		{"walk revisits a slot", func(im *lruImage) { im.prev[head] = tail }},
+		{"next not inverse of prev", func(im *lruImage) { im.next[head] = head }},
+		{"free slot repeated", func(im *lruImage) { im.free[1] = im.free[0] }},
+		{"live count off", func(im *lruImage) { im.n-- }},
+		{"page live twice", func(im *lruImage) { im.pages[head] = im.pages[tail] }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := decodeLRUImage(t, saved)
+			c.mut(&bad)
+			err := mem.NewPageLRU().RestoreState(checkpoint.NewDec(bad.encode()))
+			if !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Fatalf("restore = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+
+	l := mem.NewPageLRU()
+	if err := l.RestoreState(checkpoint.NewDec(im.encode())); err != nil {
+		t.Fatal(err)
+	}
+	var again checkpoint.Enc
+	l.SaveState(&again)
+	if !bytes.Equal(again.Bytes(), saved) {
+		t.Fatal("restored buffer saves different bytes")
 	}
 }
