@@ -20,6 +20,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -147,6 +148,10 @@ func (e *Enc) Raw(p []byte) { e.b = append(e.b, p...) }
 // Blob appends p length-prefixed.
 func (e *Enc) Blob(p []byte) { e.Count(len(p)); e.Raw(p) }
 
+// zeroPage is what Enc.Page compares payloads against, a chunk at a
+// time.
+var zeroPage [4096]byte
+
 // Page appends a page payload with the all-zero case run-compressed to
 // a flag plus length. Simulated stores are dominated by zero-filled
 // pages (cold fills, reads of never-written addresses), so this keeps
@@ -154,11 +159,10 @@ func (e *Enc) Blob(p []byte) { e.Count(len(p)); e.Raw(p) }
 // than the footprint touched. Decode with Dec.Page.
 func (e *Enc) Page(p []byte) {
 	zero := true
-	for _, b := range p {
-		if b != 0 {
-			zero = false
-			break
-		}
+	for rest := p; zero && len(rest) > 0; {
+		n := min(len(rest), len(zeroPage))
+		zero = bytes.Equal(rest[:n], zeroPage[:n])
+		rest = rest[n:]
 	}
 	e.Bool(zero)
 	if zero {

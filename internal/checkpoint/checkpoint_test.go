@@ -205,3 +205,59 @@ func TestSampler(t *testing.T) {
 		}
 	}
 }
+
+// TestEncPageZeroTest pins the zero test behind Enc.Page's compression
+// around its 4 KiB chunking: lengths 0 (a discarded flash page is nil),
+// 1, 4095, 4096 and 4097, all-zero and with one non-zero byte first, in
+// the middle and last. A zero page encodes as flag 1 and its length, any
+// other as flag 0 and the bytes, and each decodes back through Dec.Page.
+func TestEncPageZeroTest(t *testing.T) {
+	for _, n := range []int{0, 1, 4095, 4096, 4097} {
+		// The non-zero byte's index, -1 for none: first, middle, last.
+		where := []int{-1}
+		if n > 0 {
+			where = append(where, 0, n/2, n-1)
+		}
+		for _, i := range where {
+			p := make([]byte, n)
+			if i >= 0 {
+				p[i] = 0x5a
+			}
+			var e Enc
+			e.Page(p)
+			want := binary.LittleEndian.AppendUint64([]byte{1}, uint64(n))
+			if i >= 0 {
+				want = append(binary.LittleEndian.AppendUint64([]byte{0}, uint64(n)), p...)
+			}
+			if !bytes.Equal(e.Bytes(), want) {
+				t.Errorf("len %d, byte %d set: wire % x, want % x", n, i, head(e.Bytes()), head(want))
+				continue
+			}
+			d := NewDec(e.Bytes())
+			if got := d.Page(n); !bytes.Equal(got, p) || d.Finish() != nil {
+				t.Errorf("len %d, byte %d set: page does not decode back (err %v)", n, i, d.Err())
+			}
+		}
+	}
+}
+
+// head trims a wire image for an error message.
+func head(b []byte) []byte { return b[:min(len(b), 16)] }
+
+// BenchmarkEncPage encodes one all-zero and one dirty 4 KiB page: the
+// zero test scans the whole of the first and stops at the dirty byte of
+// the second, which sits last.
+func BenchmarkEncPage(b *testing.B) {
+	zero := make([]byte, 4096)
+	dirty := make([]byte, 4096)
+	dirty[len(dirty)-1] = 1
+	var e Enc
+	b.ReportAllocs()
+	b.SetBytes(2 * 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.b = e.b[:0]
+		e.Page(zero)
+		e.Page(dirty)
+	}
+}

@@ -8,6 +8,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"hams/internal/mem"
 )
 
@@ -31,17 +33,25 @@ type line struct {
 	lru   uint64
 }
 
-// Cache is a set-associative write-back, write-allocate cache.
+// Cache is a set-associative write-back, write-allocate cache. Its
+// lines live in one set-major array (set s holds lines[s*ways:]), and
+// an address splits into set and tag by shift and mask.
 type Cache struct {
-	cfg   CacheConfig
-	sets  [][]line
-	nsets uint64
-	tick  uint64
+	cfg       CacheConfig
+	lines     []line
+	lineShift uint
+	setShift  uint
+	setMask   uint64
+	tick      uint64
 
 	hits, misses int64
 }
 
-// NewCache builds a cache from cfg.
+// NewCache builds a cache from cfg. The line size and the set count
+// must be powers of two: every cache the simulator builds meets that
+// (the Table II L1 and L2, and a TLB over 4 KiB or a HAMS page, whose
+// size core.New already requires to be a power of two), so anything
+// else is a bug and panics.
 func NewCache(cfg CacheConfig) *Cache {
 	if cfg.Ways <= 0 {
 		cfg.Ways = 1
@@ -53,11 +63,16 @@ func NewCache(cfg CacheConfig) *Cache {
 	if nsets == 0 {
 		nsets = 1
 	}
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
+	if !mem.IsPow2(cfg.LineBytes) || !mem.IsPow2(nsets) {
+		panic(fmt.Sprintf("cpu: cache of %d-byte lines in %d sets: both must be powers of two", cfg.LineBytes, nsets))
 	}
-	return &Cache{cfg: cfg, sets: sets, nsets: nsets}
+	return &Cache{
+		cfg:       cfg,
+		lines:     make([]line, nsets*uint64(cfg.Ways)),
+		lineShift: mem.Log2(cfg.LineBytes),
+		setShift:  mem.Log2(nsets),
+		setMask:   nsets - 1,
+	}
 }
 
 // LineBytes returns the line size.
@@ -72,10 +87,11 @@ func (c *Cache) Misses() int64 { return c.misses }
 // nothing dirty was displaced).
 func (c *Cache) Lookup(addr uint64, write bool) (hit bool, victim uint64, victimDirty bool) {
 	c.tick++
-	lineAddr := addr / c.cfg.LineBytes
-	set := lineAddr % c.nsets
-	tag := lineAddr / c.nsets
-	ways := c.sets[set]
+	lineAddr := addr >> c.lineShift
+	set := lineAddr & c.setMask
+	tag := lineAddr >> c.setShift
+	first := int(set) * c.cfg.Ways
+	ways := c.lines[first : first+c.cfg.Ways]
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			c.hits++
@@ -100,24 +116,9 @@ func (c *Cache) Lookup(addr uint64, write bool) (hit bool, victim uint64, victim
 	}
 	v := ways[vi]
 	if v.valid && v.dirty {
-		victim = (v.tag*c.nsets + set) * c.cfg.LineBytes
+		victim = (v.tag<<c.setShift | set) << c.lineShift
 		victimDirty = true
 	}
 	ways[vi] = line{tag: tag, valid: true, dirty: write, lru: c.tick}
 	return false, victim, victimDirty
-}
-
-// Flush invalidates everything, returning dirty line addresses.
-func (c *Cache) Flush() []uint64 {
-	var dirty []uint64
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if l.valid && l.dirty {
-				dirty = append(dirty, (l.tag*c.nsets+uint64(s))*c.cfg.LineBytes)
-			}
-			*l = line{}
-		}
-	}
-	return dirty
 }

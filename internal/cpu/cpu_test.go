@@ -50,19 +50,6 @@ func TestCacheDirtyVictim(t *testing.T) {
 	}
 }
 
-func TestCacheFlush(t *testing.T) {
-	c := NewCache(CacheConfig{SizeBytes: 256, Ways: 2, LineBytes: 64})
-	c.Lookup(0, true)
-	c.Lookup(64, false)
-	dirty := c.Flush()
-	if len(dirty) != 1 || dirty[0] != 0 {
-		t.Fatalf("dirty = %v", dirty)
-	}
-	if hit, _, _ := c.Lookup(0, false); hit {
-		t.Fatal("flush did not invalidate")
-	}
-}
-
 // flatMem is a fixed-latency memory system for runner tests.
 type flatMem struct {
 	lat      sim.Time

@@ -13,6 +13,11 @@ type Step struct {
 }
 
 // Stream feeds one core. Next returns false when the thread finishes.
+//
+// A returned Step.Acc belongs to the stream: it stays valid only until
+// that stream's next call to Next (a stream may build every step in one
+// reused buffer), and the caller must not write to it. A caller that
+// keeps steps copies Acc.
 type Stream interface {
 	Next() (Step, bool)
 }

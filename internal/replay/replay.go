@@ -280,11 +280,14 @@ func FromFile(f *trace.File) []Tenant {
 }
 
 // offsetStream shifts every address a stream issues by a fixed base,
-// relocating a tenant's footprint inside the MoS space. Progress
+// relocating a tenant's footprint inside the MoS space. It relocates
+// into its own reused buffer and never writes into the inner step: a
+// decoded trace's steps are shared by every run of its File. Progress
 // forwards to the inner stream.
 type offsetStream struct {
 	inner cpu.Stream
 	base  uint64
+	buf   []mem.Access
 }
 
 func (s *offsetStream) Next() (cpu.Step, bool) {
@@ -292,12 +295,12 @@ func (s *offsetStream) Next() (cpu.Step, bool) {
 	if !ok || len(step.Acc) == 0 {
 		return step, ok
 	}
-	acc := make([]mem.Access, len(step.Acc))
-	for i, a := range step.Acc {
+	s.buf = s.buf[:0]
+	for _, a := range step.Acc {
 		a.Addr += s.base
-		acc[i] = a
+		s.buf = append(s.buf, a)
 	}
-	step.Acc = acc
+	step.Acc = s.buf
 	return step, ok
 }
 

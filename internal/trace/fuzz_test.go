@@ -9,20 +9,20 @@ import (
 	"hams/internal/mem"
 )
 
-// FuzzTraceReader feeds arbitrary bytes to both decoders (the
-// streaming v1 reader and the v1+v2 container Decode). Traces are
-// attacker-controlled input — users replay files they did not record —
-// so the decoders must never panic, loop unboundedly, or let a wire
-// count drive an allocation; and any input that decodes must survive a
-// re-encode → re-decode round trip unchanged.
+// FuzzTraceReader feeds arbitrary bytes to the container decoder,
+// which reads v1 and v2. Traces are attacker-controlled input — users
+// replay files they did not record — so the decoder must never panic,
+// loop unboundedly, or let a wire count drive an allocation; and any
+// input that decodes must survive a re-encode → re-decode round trip
+// unchanged.
 func FuzzTraceReader(f *testing.F) {
-	// Valid v1 stream.
-	var v1 bytes.Buffer
-	w, _ := NewWriter(&v1)
-	w.WriteStep(cpu.Step{Compute: 3, Acc: []mem.Access{{Addr: 0x1000, Size: 64, Op: mem.Read}}})
-	w.WriteStep(cpu.Step{Compute: 9})
-	w.Flush()
-	f.Add(v1.Bytes())
+	// Valid v1 stream: the header, then two steps, each compute (8 B)
+	// and access count (4 B), then 13 B per access.
+	v1 := []byte("SMAH\x01\x00\x00\x00" +
+		"\x03\x00\x00\x00\x00\x00\x00\x00" + "\x01\x00\x00\x00" + // compute 3, one access:
+		"\x00\x10\x00\x00\x00\x00\x00\x00" + "\x40\x00\x00\x00" + "\x00" + // 64 B read at 0x1000
+		"\x09\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00") // compute 9, no access
+	f.Add(v1)
 	// Valid v2 container with labels and warm regions.
 	var v2 bytes.Buffer
 	Encode(&v2, &File{
@@ -36,7 +36,7 @@ func FuzzTraceReader(f *testing.F) {
 	})
 	f.Add(v2.Bytes())
 	// Truncated v1, bare headers, garbage.
-	f.Add(v1.Bytes()[:len(v1.Bytes())-3])
+	f.Add(v1[:len(v1)-3])
 	f.Add([]byte("SMAH\x01\x00\x00\x00"))
 	f.Add([]byte("SMAH\x02\x00\x00\x00"))
 	f.Add([]byte("not a trace at all"))
@@ -45,19 +45,6 @@ func FuzzTraceReader(f *testing.F) {
 		"\x00\x00\x00\x00\x00\x00\x00\x00" + "\xff\xff\xff\xff"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Streaming v1 reader: drain with a step cap so a decoder bug
-		// that fabricates steps cannot stall the fuzzer.
-		if r, err := NewReader(bytes.NewReader(data)); err == nil {
-			for i := 0; i < 1<<16; i++ {
-				s, ok := r.Next()
-				if !ok {
-					break
-				}
-				if len(s.Acc) > MaxStepAccesses {
-					t.Fatalf("step with %d accesses escaped the bound", len(s.Acc))
-				}
-			}
-		}
 		// Container decode (v1 + v2).
 		f1, err := Decode(bytes.NewReader(data))
 		if err != nil {

@@ -4,7 +4,7 @@
 //
 // Two container versions exist:
 //
-//   - v1: a single unlabeled stream of steps (legacy; still decoded).
+//   - v1: a single unlabeled stream of steps (legacy; decode only).
 //   - v2: multi-thread streams with per-thread tenant labels, the
 //     workload's warm (steady-state) regions, and a container name —
 //     everything internal/replay needs to reproduce a live run
@@ -65,114 +65,6 @@ var ErrCorrupt = errors.New("trace: corrupt stream")
 // in for the steady state a full-length live run reaches.
 type Region struct {
 	Base, Size uint64
-}
-
-// ---------------------------------------------------------------------
-// v1 writer/reader: single-stream, kept for backward compatibility
-// (old traces decode forever; Decode below handles both versions).
-
-// Writer serializes steps in the legacy v1 single-stream layout.
-type Writer struct {
-	w   *bufio.Writer
-	n   int64
-	err error
-}
-
-// NewWriter writes a v1 stream header and returns the writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], Version1)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
-// WriteStep appends one step: varint-free fixed encoding —
-// compute (8B), access count (4B), then 13B per access.
-func (t *Writer) WriteStep(s cpu.Step) error {
-	if t.err != nil {
-		return t.err
-	}
-	if err := writeStep(t.w, s); err != nil {
-		t.err = err
-		return err
-	}
-	t.n++
-	return nil
-}
-
-// Steps returns the number of steps written.
-func (t *Writer) Steps() int64 { return t.n }
-
-// Flush drains the buffer.
-func (t *Writer) Flush() error {
-	if t.err != nil {
-		return t.err
-	}
-	return t.w.Flush()
-}
-
-// Reader decodes a v1 stream; it implements cpu.Stream. Multi-thread
-// v2 containers carry interleaved per-thread records and cannot be
-// exposed as a single stream — use Decode for those (it also accepts
-// v1).
-type Reader struct {
-	r   *bufio.Reader
-	err error
-}
-
-// NewReader validates the header and returns a v1 stream reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	v, err := readHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if v != Version1 {
-		return nil, fmt.Errorf("trace: version %d container: use trace.Decode", v)
-	}
-	return &Reader{r: br}, nil
-}
-
-// Next implements cpu.Stream: it returns the next step, or ok=false at
-// end of stream (or on a decode error, retrievable via Err).
-func (t *Reader) Next() (cpu.Step, bool) {
-	if t.err != nil {
-		return cpu.Step{}, false
-	}
-	s, err := readStep(t.r)
-	if err != nil {
-		if err != io.EOF {
-			t.err = err
-		}
-		return cpu.Step{}, false
-	}
-	return s, true
-}
-
-// Err returns the first decode error, if any.
-func (t *Reader) Err() error { return t.err }
-
-// Record drains a stream into w as a v1 trace, returning the number of
-// steps. New recordings should prefer RecordAll (v2).
-func Record(w io.Writer, s cpu.Stream) (int64, error) {
-	tw, err := NewWriter(w)
-	if err != nil {
-		return 0, err
-	}
-	for {
-		step, ok := s.Next()
-		if !ok {
-			break
-		}
-		if err := tw.WriteStep(step); err != nil {
-			return tw.Steps(), err
-		}
-	}
-	return tw.Steps(), tw.Flush()
 }
 
 // ---------------------------------------------------------------------

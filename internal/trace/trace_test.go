@@ -1,11 +1,14 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +17,42 @@ import (
 	"hams/internal/workload"
 )
 
+// v1Image builds a legacy v1 container, which nothing writes any more
+// but Decode still reads: the header, then each step in the shared
+// step codec.
+func v1Image(t testing.TB, steps ...cpu.Step) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	bw.WriteString("SMAH\x01\x00\x00\x00")
+	for _, s := range steps {
+		if err := writeStep(bw, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodeStream decodes a one-thread container and returns its stream.
+func decodeStream(t *testing.T, raw []byte) (*File, cpu.Stream) {
+	t.Helper()
+	f, err := Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := f.StreamsFor("")
+	if len(ss) != 1 {
+		t.Fatalf("%d streams, want 1", len(ss))
+	}
+	return f, ss[0]
+}
+
+// TestRoundTrip: steps survive the codec in both container versions, a
+// v1 image and a v2 one written by RecordAll, and replay in order
+// with nothing after the last.
 func TestRoundTrip(t *testing.T) {
 	steps := []cpu.Step{
 		{Compute: 10, Acc: []mem.Access{{Addr: 0x1000, Size: 64, Op: mem.Read}}},
@@ -23,73 +62,47 @@ func TestRoundTrip(t *testing.T) {
 		}},
 		{Compute: 99},
 	}
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	var v2 bytes.Buffer
+	n, err := RecordAll(&v2, "", []string{""}, nil, []cpu.Stream{&stepStream{steps: steps}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range steps {
-		if err := w.WriteStep(s); err != nil {
-			t.Fatal(err)
+	if n != 3 {
+		t.Fatalf("RecordAll recorded %d steps, want 3", n)
+	}
+	for _, raw := range [][]byte{v1Image(t, steps...), v2.Bytes()} {
+		f, r := decodeStream(t, raw)
+		if f.Steps() != 3 {
+			t.Fatalf("v%d: Steps = %d", f.Version, f.Steps())
 		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Steps() != 3 {
-		t.Fatalf("Steps = %d", w.Steps())
-	}
-
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range steps {
-		got, ok := r.Next()
-		if !ok {
-			t.Fatalf("step %d missing", i)
-		}
-		if got.Compute != want.Compute || len(got.Acc) != len(want.Acc) {
-			t.Fatalf("step %d = %+v, want %+v", i, got, want)
-		}
-		for j := range want.Acc {
-			if got.Acc[j] != want.Acc[j] {
-				t.Fatalf("step %d access %d differs", i, j)
+		for i, want := range steps {
+			got, ok := r.Next()
+			if !ok {
+				t.Fatalf("v%d: step %d missing", f.Version, i)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("v%d: step %d = %+v, want %+v", f.Version, i, got, want)
 			}
 		}
-	}
-	if _, ok := r.Next(); ok {
-		t.Fatal("extra step")
-	}
-	if r.Err() != nil {
-		t.Fatal(r.Err())
+		if _, ok := r.Next(); ok {
+			t.Fatalf("v%d: extra step", f.Version)
+		}
 	}
 }
 
 func TestBadHeader(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("notatrace"))); !errors.Is(err, ErrBadHeader) {
+	if _, err := Decode(bytes.NewReader([]byte("notatrace"))); !errors.Is(err, ErrBadHeader) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
+	if _, err := Decode(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
 	}
 }
 
 func TestTruncatedStream(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.WriteStep(cpu.Step{Compute: 1, Acc: []mem.Access{{Addr: 1, Size: 2}}})
-	w.Flush()
-	raw := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(raw[:len(raw)-3]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Next(); ok {
-		t.Fatal("truncated step decoded")
-	}
-	if r.Err() == nil {
-		t.Fatal("truncation not reported")
+	raw := v1Image(t, cpu.Step{Compute: 1, Acc: []mem.Access{{Addr: 1, Size: 2}}})
+	if f, err := Decode(bytes.NewReader(raw[:len(raw)-3])); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated step decoded: %+v, err %v", f, err)
 	}
 }
 
@@ -98,7 +111,7 @@ func TestRecordWorkloadStream(t *testing.T) {
 	o := workload.DefaultOptions()
 	o.Scale = 1e-7
 	var buf bytes.Buffer
-	n, err := Record(&buf, spec.Streams(o)[0])
+	n, err := RecordAll(&buf, spec.Name, []string{""}, nil, spec.Streams(o)[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +119,7 @@ func TestRecordWorkloadStream(t *testing.T) {
 		t.Fatal("nothing recorded")
 	}
 	// Replay must be identical to a fresh generation.
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, r := decodeStream(t, buf.Bytes())
 	fresh := spec.Streams(o)[0]
 	for {
 		a, okA := r.Next()
@@ -120,7 +130,7 @@ func TestRecordWorkloadStream(t *testing.T) {
 		if !okA {
 			break
 		}
-		if a.Compute != b.Compute || len(a.Acc) != len(b.Acc) {
+		if a.Compute != b.Compute || !slices.Equal(a.Acc, b.Acc) {
 			t.Fatal("step mismatch")
 		}
 	}
@@ -209,25 +219,20 @@ func TestStreamUnits(t *testing.T) {
 
 // TestHugeCountRejected is the regression test for the decoder OOM: a
 // step header declaring ~4 billion accesses must yield ErrCorrupt from
-// both the streaming v1 reader and the container decoder, not an
-// unbounded read loop. The same bytes are committed as a fuzz corpus
+// the container decoder, in a v1 stream and in a v2 record, not an
+// unbounded read loop. The v1 bytes are committed as a fuzz corpus
 // entry (testdata/fuzz/FuzzTraceReader).
 func TestHugeCountRejected(t *testing.T) {
-	raw := []byte("SMAH\x01\x00\x00\x00" + // v1 header
-		"\x00\x00\x00\x00\x00\x00\x00\x00" + // compute
-		"\xff\xff\xff\xff") // access count 2^32-1
-	r, err := NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Next(); ok {
-		t.Fatal("huge-count step decoded")
-	}
-	if !errors.Is(r.Err(), ErrCorrupt) {
-		t.Fatalf("Err = %v, want ErrCorrupt", r.Err())
-	}
-	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Decode err = %v, want ErrCorrupt", err)
+	const step = "\x00\x00\x00\x00\x00\x00\x00\x00" + // compute
+		"\xff\xff\xff\xff" // access count 2^32-1
+	for _, raw := range []string{
+		"SMAH\x01\x00\x00\x00" + step, // v1 header
+		"SMAH\x02\x00\x00\x00" + "\x00\x00" + "\x01\x00\x00\x00" + "\x00\x00" +
+			"\x00\x00\x00\x00" + "\x00\x00\x00\x00" + step, // v2: one thread, record for thread 0
+	} {
+		if _, err := Decode(strings.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Decode err = %v, want ErrCorrupt", err)
+		}
 	}
 }
 
@@ -301,26 +306,6 @@ func TestV1FixtureBackwardCompat(t *testing.T) {
 	if accesses != 1098 || loads != 618 || compute != 1296 {
 		t.Fatalf("accesses=%d loads=%d compute=%d, want 1098/618/1296", accesses, loads, compute)
 	}
-	// The streaming v1 reader sees the same steps.
-	r, err := NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; ; i++ {
-		s, ok := r.Next()
-		if !ok {
-			if i != 6 {
-				t.Fatalf("streaming reader returned %d steps", i)
-			}
-			break
-		}
-		if !reflect.DeepEqual(s, f.Threads[0].Steps[i]) {
-			t.Fatalf("step %d differs between readers", i)
-		}
-	}
-	if r.Err() != nil {
-		t.Fatal(r.Err())
-	}
 }
 
 // Property: arbitrary steps survive the codec.
@@ -338,26 +323,18 @@ func TestCodecProperty(t *testing.T) {
 			steps = append(steps, s)
 		}
 		var buf bytes.Buffer
-		w, _ := NewWriter(&buf)
-		for _, s := range steps {
-			if w.WriteStep(s) != nil {
-				return false
-			}
-		}
-		w.Flush()
-		r, err := NewReader(&buf)
-		if err != nil {
+		if _, err := RecordAll(&buf, "", []string{""}, nil, []cpu.Stream{&stepStream{steps: steps}}); err != nil {
 			return false
 		}
+		file, err := Decode(&buf)
+		if err != nil || len(file.Threads) != 1 {
+			return false
+		}
+		r := file.StreamsFor("")[0]
 		for _, want := range steps {
 			got, ok := r.Next()
-			if !ok || got.Compute != want.Compute || len(got.Acc) != len(want.Acc) {
+			if !ok || got.Compute != want.Compute || !slices.Equal(got.Acc, want.Acc) {
 				return false
-			}
-			for j := range want.Acc {
-				if got.Acc[j] != want.Acc[j] {
-					return false
-				}
 			}
 		}
 		_, ok := r.Next()

@@ -7,30 +7,44 @@ import (
 	"hams/internal/mem"
 )
 
-const lineBytes = 64
+const (
+	lineBytes = 64
+	// scratchBytes is the per-thread user buffer scratch accesses cycle
+	// through; a power of two, so the cursor wraps with a mask.
+	scratchBytes = 16 * mem.KiB
+)
 
 // mixer emits the scratch accesses and compute padding that make each
 // iteration match the workload's Table III load/store ratios. Scratch
 // accesses cycle through a small per-thread buffer that stays resident
 // in the CPU caches, exactly like user-space buffers do.
+//
+// Every step a stream hands out is built in buf, which the stream owns
+// and reuses (the cpu.Stream contract): once buf has grown to the
+// longest step, Next allocates nothing.
 type mixer struct {
 	scratchBase uint64
-	scratchSize uint64
 	cursor      uint64
+	buf         []mem.Access
 }
 
 func newMixer(base uint64) *mixer {
-	return &mixer{scratchBase: base, scratchSize: 16 * mem.KiB}
+	return &mixer{scratchBase: base}
 }
+
+// begin returns the step buffer emptied; the stream appends the
+// step's mapped accesses to it and passes the result to emit.
+func (m *mixer) begin() []mem.Access { return m.buf[:0] }
 
 func (m *mixer) scratchAccess(op mem.Op) mem.Access {
 	a := mem.Access{Addr: m.scratchBase + m.cursor, Size: lineBytes, Op: op}
-	m.cursor = (m.cursor + lineBytes) % m.scratchSize
+	m.cursor = (m.cursor + lineBytes) % scratchBytes
 	return a
 }
 
 // emit builds a step whose totals approximate the ratios: mapped
-// accesses are given; scratch loads/stores and compute are derived.
+// accesses are given (in the buffer begin returned); scratch
+// loads/stores and compute are derived and appended after them.
 func (m *mixer) emit(s Spec, mapped []mem.Access, totalInstr int64) cpu.Step {
 	var mappedLoads, mappedStores int64
 	for _, a := range mapped {
@@ -50,6 +64,7 @@ func (m *mixer) emit(s Spec, mapped []mem.Access, totalInstr int64) cpu.Step {
 	for st := mappedStores; st < wantStores; st++ {
 		step.Acc = append(step.Acc, m.scratchAccess(mem.Write))
 	}
+	m.buf = step.Acc
 	memInstr := wantLoads + wantStores
 	if mappedLoads > wantLoads {
 		memInstr += mappedLoads - wantLoads
@@ -127,7 +142,7 @@ func (m *microStream) Next() (cpu.Step, bool) {
 	if m.spec.WriteHeavy {
 		op = mem.Write
 	}
-	mapped := []mem.Access{{Addr: addr, Size: uint32(page), Op: op}}
+	mapped := append(m.mix.begin(), mem.Access{Addr: addr, Size: uint32(page), Op: op})
 	// One page copy touches page/64 lines on the mapped side; the
 	// iteration's total instruction count is set so that the mapped
 	// operation accounts for exactly its own Table III ratio (the
@@ -224,9 +239,8 @@ func (k *kvStream) Next() (cpu.Step, bool) {
 		return cpu.Step{}, false
 	}
 	key := k.nextKey()
-	var mapped []mem.Access
 	// Root is cached (scratch); inner node read: 64 B.
-	mapped = append(mapped, mem.Access{Addr: k.innerAddr(key), Size: 64, Op: mem.Read})
+	mapped := append(k.mix.begin(), mem.Access{Addr: k.innerAddr(key), Size: 64, Op: mem.Read})
 	leaf := k.leafAddr(key)
 	switch k.spec.Name {
 	case "seqSel", "rndSel":
@@ -274,7 +288,7 @@ func (r *rodiniaStream) Next() (cpu.Step, bool) {
 	if r.budget <= 0 {
 		return cpu.Step{}, false
 	}
-	var mapped []mem.Access
+	mapped := r.mix.begin()
 	var total int64
 	switch r.spec.Name {
 	case "BFS":

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"hams/internal/cpu"
@@ -132,6 +133,8 @@ func TestStreamSeedChangesWithOptionsSeed(t *testing.T) {
 	}
 }
 
+// drain collects a stream's steps, copying each step's accesses out of
+// the buffer the stream reuses on its next call.
 func drain(t *testing.T, s cpu.Stream) []cpu.Step {
 	t.Helper()
 	var out []cpu.Step
@@ -140,6 +143,7 @@ func drain(t *testing.T, s cpu.Stream) []cpu.Step {
 		if !ok {
 			return out
 		}
+		st.Acc = slices.Clone(st.Acc)
 		out = append(out, st)
 		if len(out) > 5_000_000 {
 			t.Fatal("stream does not terminate")
